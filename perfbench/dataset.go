@@ -228,25 +228,37 @@ func planScan(ds *dataset, rng *rand.Rand, n int) []op {
 	return ops
 }
 
+// popularityPhases is how many times a lookup op list redraws which keys
+// are hot. Under s=1.1 a handful of keys take most of the requests, so one
+// draw per list would make a run's latencies mostly a property of those few
+// keys and of the seed; sixteen draws average that out within a run.
+const popularityPhases = 16
+
 // planLookup draws n ops: 8 of every 9 GetRecord, 1 GetHistory. Versions
 // come from the newest 10%; keys are zipfian (s=1.1) over the keys live in
-// the queried version, ranked by one seeded permutation of the key space so
+// the queried version, ranked by a seeded permutation of the key space so
 // the hot keys are the same across versions and scattered across chunks.
+// The permutation is redrawn at the start of each of popularityPhases equal
+// stretches of the list.
 func planLookup(ds *dataset, rng *rand.Rand, n int) []op {
 	nv := ds.c.NumVersions()
 	recent := (nv + 9) / 10
+	phase := max((n+popularityPhases-1)/popularityPhases, 1)
 	rank := map[types.Key]int{}
-	for i, p := range rng.Perm(ds.c.NumKeys()) {
-		rank[workload.KeyFor(p)] = i
-	}
 	type live struct {
 		keys   []types.Key // by popularity rank
 		hashes map[types.Key]uint64
 		zipf   *rand.Zipf
 	}
-	byVersion := map[types.VersionID]*live{}
+	var byVersion map[types.VersionID]*live
 	ops := make([]op, n)
 	for i := range ops {
+		if i%phase == 0 {
+			for r, p := range rng.Perm(ds.c.NumKeys()) {
+				rank[workload.KeyFor(p)] = r
+			}
+			byVersion = map[types.VersionID]*live{}
+		}
 		v := ds.newest - types.VersionID(rng.Intn(recent))
 		lv, ok := byVersion[v]
 		if !ok {

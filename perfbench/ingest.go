@@ -15,12 +15,24 @@ import (
 
 const putsPerCommit = 200
 
+// readsPerCommit is how many reads the reader makes beside each commit.
+const readsPerCommit = 2
+
 // ingestWorkload is one committer and one reader, as the one-logical-writer
 // contract requires. The committer chains commits of putsPerCommit 512 B
 // puts off the newest version; the store partitions online on every
 // onlineBatch-th commit. The reader does GetRecord on keys live in the
 // latest acknowledged version, which the pending-version overlay serves
 // until the next flush.
+//
+// The two run in lockstep: beside each commit the reader makes
+// readsPerCommit reads at the version the commit builds on, and the next
+// commit starts when both are done. A commit holds the store's lock, so
+// one read of each flushing commit's step, and never more, waits out the
+// flush.
+// The share of reads that wait on a flush is then fixed by the plan, not
+// by how fast the host runs the reader, and the read tail stays on one
+// side of the gap between ordinary and flush-blocked reads.
 type ingestWorkload struct {
 	seed    int64
 	keys    []types.Key // live at the base version, sorted
@@ -34,6 +46,7 @@ type ingestWorkload struct {
 	updates map[types.Key][]update
 	tip     atomic.Uint32 // latest acknowledged version
 	seq     int           // commits made so far (committer goroutine only)
+	nread   int           // reads made so far (committer goroutine only)
 }
 
 type update struct {
@@ -130,8 +143,7 @@ func (w *ingestWorkload) commit(ctx context.Context, cl *cluster, plan []uint16)
 	return s
 }
 
-func (w *ingestWorkload) read(ctx context.Context, cl *cluster, key types.Key) sample {
-	v := types.VersionID(w.tip.Load())
+func (w *ingestWorkload) read(ctx context.Context, cl *cluster, key types.Key, v types.VersionID) sample {
 	s := sample{kind: opRecord}
 	ctx, s.req = begin(ctx, cl)
 	start := time.Now()
@@ -148,31 +160,38 @@ func (w *ingestWorkload) read(ctx context.Context, cl *cluster, key types.Key) s
 	return s
 }
 
-// planned counts the commits of a pass; the reader, running beside them,
-// completes about as many reads or more.
-func (w *ingestWorkload) planned(_ opKind, count int) int { return count }
+// planned counts the ops of kind a pass of count commits makes.
+func (w *ingestWorkload) planned(kind opKind, count int) int {
+	if kind == opRecord {
+		return count * readsPerCommit
+	}
+	return count
+}
 
-// run makes the next count planned commits (the plan replays cyclically)
-// while the reader loops beside them; the pass ends with the last commit.
+// run makes the next count planned commits (the plan replays cyclically),
+// each with readsPerCommit reads beside it.
 func (w *ingestWorkload) run(ctx context.Context, cl *cluster, count int, limit time.Duration) passResult {
-	var reads []sample
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	start := time.Now()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !done.Load(); i++ {
-			reads = append(reads, w.read(ctx, cl, w.keys[w.reads[i%len(w.reads)]]))
-		}
-	}()
 	commits := make([]sample, 0, count)
-	first := w.seq
+	reads := make([]sample, 0, count*readsPerCommit)
+	start := time.Now()
 	deadline := start.Add(limit)
 	for i := 0; i < count && !time.Now().After(deadline); i++ {
-		commits = append(commits, w.commit(ctx, cl, w.commits[(first+i)%len(w.commits)]))
+		v := types.VersionID(w.tip.Load())
+		keys := make([]types.Key, readsPerCommit)
+		for j := range keys {
+			keys[j] = w.keys[w.reads[w.nread%len(w.reads)]]
+			w.nread++
+		}
+		step := make(chan []sample, 1)
+		go func() {
+			rs := make([]sample, 0, len(keys))
+			for _, k := range keys {
+				rs = append(rs, w.read(ctx, cl, k, v))
+			}
+			step <- rs
+		}()
+		commits = append(commits, w.commit(ctx, cl, w.commits[w.seq%len(w.commits)]))
+		reads = append(reads, <-step...)
 	}
-	done.Store(true)
-	wg.Wait()
 	return passResult{samples: append(commits, reads...), elapsed: time.Since(start)}
 }

@@ -268,6 +268,12 @@ func run(name string, def workloadDef, seed int64, seconds int, traced bool) (*r
 	if traced {
 		put("error_rate", float64(res.Failed)/float64(res.Attempted), "frac")
 	} else {
+		// Background compaction leaves a varying amount of shadowed data
+		// on disk when the pass ends; a full compaction first makes the
+		// footprint a property of the data and its layout, not of timing.
+		if _, err := cl.kv.Compact(ctx); err != nil {
+			return nil, fmt.Errorf("compact: %w", err)
+		}
 		kvEnd := cl.kv.Stats(ctx)
 		user := ds.userBytes
 		for _, s := range all {
