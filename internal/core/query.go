@@ -49,9 +49,10 @@ func (r Range) contains(k types.Key) bool {
 // consumer that stalls between records delays concurrent commits; drain
 // promptly or use the ...All convenience wrappers.
 type Cursor struct {
-	stats QueryStats
-	run   func(c *Cursor, yield func(types.Record, error) bool)
-	spent bool
+	stats       QueryStats
+	run         func(c *Cursor, yield func(types.Record, error) bool)
+	spent       bool
+	beforeFetch func()
 }
 
 func newCursor(run func(c *Cursor, yield func(types.Record, error) bool)) *Cursor {
@@ -74,6 +75,22 @@ func (c *Cursor) Records() iter.Seq2[types.Record, error] {
 // Stats reports the retrieval costs accumulated so far; it is complete
 // once the record sequence has ended.
 func (c *Cursor) Stats() QueryStats { return c.stats }
+
+// BeforeFetch registers fn to run before each backend fetch the cursor
+// issues from then on: a chunk batch's MultiGet or the pending-delta
+// MultiGet (batches answered wholly from the chunk cache fetch nothing).
+// A streaming consumer flushes its output there, so the records of one
+// batch reach the client before the cursor blocks on the next, at one
+// flush per fetch instead of one per record. Set it between pulls of the
+// record sequence, never concurrently with one.
+func (c *Cursor) BeforeFetch(fn func()) { c.beforeFetch = fn }
+
+// fetching runs the BeforeFetch hook, if any.
+func (c *Cursor) fetching() {
+	if c.beforeFetch != nil {
+		c.beforeFetch()
+	}
+}
 
 // All drains the cursor into a slice, in stream order. On error the
 // records delivered before it are returned alongside.
@@ -103,7 +120,7 @@ func (s *Store) GetVersion(ctx context.Context, v types.VersionID) *Cursor {
 			return
 		}
 		anchor, overlayPath := s.anchorOf(v)
-		ov, err := s.overlayEffect(ctx, overlayPath, &c.stats)
+		ov, err := s.overlayEffect(ctx, c, overlayPath)
 		if err != nil {
 			yield(types.Record{}, err)
 			return
@@ -136,7 +153,7 @@ func (s *Store) GetRange(ctx context.Context, r Range, v types.VersionID) *Curso
 			return
 		}
 		anchor, overlayPath := s.anchorOf(v)
-		ov, err := s.overlayEffect(ctx, overlayPath, &c.stats)
+		ov, err := s.overlayEffect(ctx, c, overlayPath)
 		if err != nil {
 			yield(types.Record{}, err)
 			return
@@ -188,7 +205,7 @@ func (s *Store) GetHistory(ctx context.Context, key types.Key) *Cursor {
 		defer s.mu.RUnlock()
 
 		seen := make(map[types.CompositeKey]bool)
-		stopped, err := s.streamChunks(ctx, s.proj.KeyChunks(key), &c.stats, func(e *chunkEntry, decoded []types.Record) (bool, error) {
+		stopped, err := s.streamChunks(ctx, c, s.proj.KeyChunks(key), func(e *chunkEntry, decoded []types.Record) (bool, error) {
 			s.chargeScan(e, &c.stats)
 			matched := false
 			for _, r := range decoded {
@@ -226,6 +243,7 @@ func (s *Store) GetHistory(ctx context.Context, key types.Key) *Cursor {
 			}
 		}
 		if len(pendingVersions) > 0 {
+			c.fetching()
 			deltas, err := s.fetchDeltas(ctx, pendingVersions, &c.stats)
 			if err != nil {
 				yield(types.Record{}, err)
@@ -301,7 +319,7 @@ func (s *Store) GetRecord(ctx context.Context, key types.Key, v types.VersionID)
 	if len(cids) == 0 {
 		return types.Record{}, stats, &types.KeyNotFoundError{Key: key, Version: v}
 	}
-	entries, err := s.fetchChunks(ctx, cids, &stats)
+	entries, err := s.fetchChunks(ctx, cids, &stats, nil)
 	if err != nil {
 		return types.Record{}, stats, err
 	}
@@ -360,14 +378,15 @@ type overlayView struct {
 
 func (ov *overlayView) masks(ck types.CompositeKey) bool { return ov.masked[ck] }
 
-// overlayEffect fetches the pending deltas of path (root→v order) and folds
-// them into an overlayView.
-func (s *Store) overlayEffect(ctx context.Context, path []types.VersionID, stats *QueryStats) (*overlayView, error) {
+// overlayEffect fetches the pending deltas of path (root→v order) for
+// cursor c and folds them into an overlayView.
+func (s *Store) overlayEffect(ctx context.Context, c *Cursor, path []types.VersionID) (*overlayView, error) {
 	ov := &overlayView{}
 	if len(path) == 0 {
 		return ov, nil
 	}
-	deltas, err := s.fetchDeltas(ctx, path, stats)
+	c.fetching()
+	deltas, err := s.fetchDeltas(ctx, path, &c.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +415,7 @@ func (s *Store) overlayEffect(ctx context.Context, path []types.VersionID, stats
 // (nil = all). It reports whether the consumer wants more (false = stopped
 // early); errors are delivered to yield here.
 func (s *Store) streamVersionChunks(ctx context.Context, c *Cursor, v types.VersionID, cids []chunk.ID, ov *overlayView, filter func(types.Key) bool, yield func(types.Record, error) bool) bool {
-	stopped, err := s.streamChunks(ctx, cids, &c.stats, func(e *chunkEntry, decoded []types.Record) (bool, error) {
+	stopped, err := s.streamChunks(ctx, c, cids, func(e *chunkEntry, decoded []types.Record) (bool, error) {
 		cont := true
 		matched, err := extractSlots(e, decoded, v, func(r types.Record) bool {
 			if ov.masks(r.CK) || (filter != nil && !filter(r.CK.Key)) {
@@ -442,18 +461,19 @@ type chunkEntry struct {
 
 // streamChunks feeds each chunk of cids (fetched in batches of
 // Config.QueryFetchBatch, decoded in parallel within a batch) to emit, in
-// cid order. This is what makes query results streams rather than
-// materialized slices: server memory per query is O(batch), the first
-// records surface before later chunks are fetched, and a context that ends
-// — or an emit that returns false — stops before the next batch fetch.
-func (s *Store) streamChunks(ctx context.Context, cids []chunk.ID, stats *QueryStats, emit func(e *chunkEntry, decoded []types.Record) (bool, error)) (stopped bool, err error) {
+// cid order, booking the fetches in c's stats. This is what makes query
+// results streams rather than materialized slices: server memory per query
+// is O(batch), the first records surface before later chunks are fetched,
+// and a context that ends — or an emit that returns false — stops before
+// the next batch fetch.
+func (s *Store) streamChunks(ctx context.Context, c *Cursor, cids []chunk.ID, emit func(e *chunkEntry, decoded []types.Record) (bool, error)) (stopped bool, err error) {
 	batch := s.cfg.QueryFetchBatch
 	for start := 0; start < len(cids); start += batch {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
 		end := min(start+batch, len(cids))
-		entries, err := s.fetchChunks(ctx, cids[start:end], stats)
+		entries, err := s.fetchChunks(ctx, cids[start:end], &c.stats, c.fetching)
 		if err != nil {
 			return false, err
 		}
@@ -478,10 +498,11 @@ func (s *Store) streamChunks(ctx context.Context, cids []chunk.ID, stats *QueryS
 }
 
 // fetchChunks resolves chunk entries through the AS cache, multigetting
-// only the misses. Span counts every chunk consulted; Requests/BytesRead
-// reflect actual backend traffic. Missing chunks indicate corruption
-// (projections are authoritative) and surface as errors.
-func (s *Store) fetchChunks(ctx context.Context, cids []chunk.ID, stats *QueryStats) ([]*chunkEntry, error) {
+// only the misses; beforeFetch (nil: none) runs just before that MultiGet.
+// Span counts every chunk consulted; Requests/BytesRead reflect actual
+// backend traffic. Missing chunks indicate corruption (projections are
+// authoritative) and surface as errors.
+func (s *Store) fetchChunks(ctx context.Context, cids []chunk.ID, stats *QueryStats, beforeFetch func()) ([]*chunkEntry, error) {
 	if len(cids) == 0 {
 		return nil, nil
 	}
@@ -501,7 +522,9 @@ func (s *Store) fetchChunks(ctx context.Context, cids []chunk.ID, stats *QuerySt
 	if len(keys) == 0 {
 		return out, nil
 	}
-
+	if beforeFetch != nil {
+		beforeFetch()
+	}
 	res, err := s.kv.MultiGet(ctx, TableChunks, keys)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -414,6 +415,137 @@ func TestConformanceMultiGet(t *testing.T) {
 		values[0][0] = 'X'
 		if got := mustGet(t, b, "t", "k05"); string(got) != "vk05" {
 			t.Fatal("MultiGet returned aliased storage")
+		}
+	})
+}
+
+// TestConformancePrefixGet: engine.PrefixGetter answers exactly Get's
+// result cut to n bytes, wherever the key lives — memtable, SSTable, row
+// cache — and for tombstoned and missing keys, n = 0 and n ≥ len alike.
+func TestConformancePrefixGet(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b engine.Backend) {
+		pg, ok := b.(engine.PrefixGetter)
+		if !ok {
+			t.Skip("backend does not implement engine.PrefixGetter")
+		}
+		ctx := context.Background()
+		// "sst" and "gone" are flushed into an SSTable by Compact; "mem"
+		// arrives afterwards and stays in the memtable; "cached" is read
+		// whole once so the row cache answers the prefix read.
+		for _, k := range []string{"sst", "gone", "cached"} {
+			if err := b.Put(ctx, "t", k, []byte(k+"-0123456789")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c, ok := b.(engine.Compactor); ok {
+			if _, err := c.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Delete(ctx, "t", "gone"); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Put(ctx, "t", "mem", []byte("mem-0123456789")); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Put(ctx, "t", "empty", nil); err != nil {
+			t.Fatal(err)
+		}
+		mustGet(t, b, "t", "cached")
+
+		// The prefix reads go first: the whole Get that checks them fills
+		// the row cache. Values are 14 ("sst", "mem") and 17 ("cached")
+		// bytes long, so n covers 0, cuts, exactly len, and past len.
+		ns := []int{0, 1, 9, 14, 17, 40}
+		for _, k := range []string{"sst", "mem", "cached", "gone", "nope", "empty"} {
+			got := make([][]byte, len(ns))
+			present := make([]bool, len(ns))
+			for i, n := range ns {
+				var err error
+				if got[i], present[i], err = pg.GetPrefix(ctx, "t", k, n); err != nil {
+					t.Fatalf("GetPrefix(%s, %d): %v", k, n, err)
+				}
+			}
+			whole, wantOK, err := b.Get(ctx, "t", k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range ns {
+				want := whole[:min(n, len(whole))]
+				if present[i] != wantOK || !bytes.Equal(got[i], want) {
+					t.Fatalf("GetPrefix(%s, %d) = %q present=%v, want %q present=%v", k, n, got[i], present[i], want, wantOK)
+				}
+			}
+		}
+
+		// Returned prefixes must not alias backend state.
+		got, _, err := pg.GetPrefix(ctx, "t", "cached", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[0] = 'X'
+		if v := mustGet(t, b, "t", "cached"); string(v) != "cached-0123456789" {
+			t.Fatalf("GetPrefix returned aliased storage: %q", v)
+		}
+	})
+}
+
+// prefixMultiGetter is the wire client's batched prefix read
+// (remote.Client.MultiGetPrefix), which rides the extended OpMultiGet.
+type prefixMultiGetter interface {
+	MultiGetPrefix(ctx context.Context, table string, keys []string, prefix []int) ([][]byte, []bool, error)
+}
+
+// TestConformanceMultiGetPrefix: one OpMultiGet frame mixing whole reads
+// (prefix 0) and prefix reads, duplicate keys included, answers each key
+// as Get cut to its prefix, in request order — whether the node's engine
+// serves prefixes itself (lsm) or engined cuts whole values (memory).
+func TestConformanceMultiGetPrefix(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b engine.Backend) {
+		mg, ok := b.(prefixMultiGetter)
+		if !ok {
+			t.Skip("backend has no batched prefix read")
+		}
+		ctx := context.Background()
+		for i := 0; i < 20; i++ {
+			k := fmt.Sprintf("k%02d", i)
+			if err := b.Put(ctx, "t", k, []byte("value-of-"+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Put(ctx, "t", "empty", nil); err != nil {
+			t.Fatal(err)
+		}
+		keys := []string{"k03", "k03", "nope", "k17", "k03", "empty", "k05", "k17"}
+		prefix := []int{0, 2, 9, 100, 9, 3, 1, 0}
+		values, present, err := mg.MultiGetPrefix(ctx, "t", keys, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(values) != len(keys) || len(present) != len(keys) {
+			t.Fatalf("got %d values, %d flags; want %d each", len(values), len(present), len(keys))
+		}
+		for i, k := range keys {
+			whole, ok, err := b.Get(ctx, "t", k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := whole
+			if prefix[i] > 0 {
+				want = whole[:min(prefix[i], len(whole))]
+			}
+			if present[i] != ok || !bytes.Equal(values[i], want) {
+				t.Fatalf("result %d (%s, prefix %d) = %q present=%v, want %q present=%v",
+					i, k, prefix[i], values[i], present[i], want, ok)
+			}
+		}
+		// A nil prefix reads every value whole, like MultiGet.
+		values, _, err = mg.MultiGetPrefix(ctx, "t", []string{"k03", "k17"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(values[0]) != "value-of-k03" || string(values[1]) != "value-of-k17" {
+			t.Fatalf("nil prefix = %q", values)
 		}
 	})
 }

@@ -117,6 +117,31 @@ type MultiGetter interface {
 	MultiGet(ctx context.Context, table string, keys []string) (values [][]byte, present []bool, err error)
 }
 
+// PrefixGetter is the optional header-read extension of Backend: GetPrefix
+// returns at most the first n bytes (n ≥ 0) of the value under (table,
+// key) — exactly Get's result cut to n bytes — with Get's presence and
+// no-aliasing contract. The replication layer reads only the 9-byte LWW
+// envelope header from every replica but the one serving a key's value,
+// so an engine implements it when a prefix read is cheaper than a whole
+// one (lsm copies n bytes and leaves its row cache alone). Callers reach
+// it through the GetPrefix helper, which falls back to Get-and-truncate.
+type PrefixGetter interface {
+	GetPrefix(ctx context.Context, table, key string, n int) ([]byte, bool, error)
+}
+
+// GetPrefix reads at most the first n bytes of (table, key) from be:
+// through PrefixGetter when be implements it, else by cutting a whole Get.
+func GetPrefix(ctx context.Context, be Backend, table, key string, n int) ([]byte, bool, error) {
+	if pg, ok := be.(PrefixGetter); ok {
+		return pg.GetPrefix(ctx, table, key, n)
+	}
+	v, ok, err := be.Get(ctx, table, key)
+	if len(v) > n {
+		v = v[:n:n]
+	}
+	return v, ok, err
+}
+
 // ErrNoCompaction reports that a backend does not implement Compactor (or,
 // over the wire, that the daemon's backend does not). Callers that compact
 // opportunistically match it with errors.Is and move on.

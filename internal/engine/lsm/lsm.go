@@ -84,10 +84,11 @@ func (o Options) withDefaults() Options {
 var ErrCrashed = errors.New("lsm: injected crash")
 
 var (
-	_ engine.Backend    = (*Backend)(nil)
-	_ engine.Compactor  = (*Backend)(nil)
-	_ engine.Resetter   = (*Backend)(nil)
-	_ engine.HashRanger = (*Backend)(nil)
+	_ engine.Backend      = (*Backend)(nil)
+	_ engine.Compactor    = (*Backend)(nil)
+	_ engine.Resetter     = (*Backend)(nil)
+	_ engine.HashRanger   = (*Backend)(nil)
+	_ engine.PrefixGetter = (*Backend)(nil)
 )
 
 // Backend is the LSM engine for one node's data directory. It implements
@@ -474,6 +475,21 @@ func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.E
 
 // Get returns a copy of the newest value under (table, key).
 func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, error) {
+	return b.get(ctx, table, key, -1)
+}
+
+// GetPrefix (engine.PrefixGetter) returns a copy of at most the first n
+// bytes of the newest value under (table, key). It copies only those bytes
+// and never fills the row cache: the replication layer sends these header
+// reads to every replica but the serving one, and they must not evict the
+// rows that replica keeps hot for whole reads.
+func (b *Backend) GetPrefix(ctx context.Context, table, key string, n int) ([]byte, bool, error) {
+	return b.get(ctx, table, key, max(n, 0))
+}
+
+// get serves Get (limit < 0: whole value, filling the row cache) and
+// GetPrefix (limit ≥ 0: the first limit bytes, cache left alone).
+func (b *Backend) get(ctx context.Context, table, key string, limit int) ([]byte, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -489,35 +505,28 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 	// Row-cache fills happen under the read lock and invalidations under
 	// the write lock, so a hit here is always the newest committed value.
 	if b.rows != nil {
-		if v, ok := b.rows.get(ik); ok {
+		if v, ok := b.rows.get(ik, limit); ok {
 			return v, true, nil
 		}
 	}
-	if v, tomb, ok := b.mem.get(ik); ok {
-		if tomb {
-			return nil, false, nil
+	v, tomb, ok := b.mem.get(ik)
+	for i := len(b.tables) - 1; !ok && i >= 0; i-- {
+		var err error
+		if v, tomb, ok, err = b.tables[i].get(ik, b.cache); err != nil {
+			return nil, false, err
 		}
+	}
+	if !ok || tomb {
+		return nil, false, nil
+	}
+	if limit < 0 {
 		if b.rows != nil {
 			b.rows.put(ik, v)
 		}
-		return append([]byte(nil), v...), true, nil
+	} else if len(v) > limit {
+		v = v[:limit]
 	}
-	for i := len(b.tables) - 1; i >= 0; i-- {
-		v, tomb, ok, err := b.tables[i].get(ik, b.cache)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if tomb {
-				return nil, false, nil
-			}
-			if b.rows != nil {
-				b.rows.put(ik, v)
-			}
-			return append([]byte(nil), v...), true, nil
-		}
-	}
-	return nil, false, nil
+	return append([]byte(nil), v...), true, nil
 }
 
 // Delete removes (table, key) by writing a tombstone; deleting a missing

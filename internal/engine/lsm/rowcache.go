@@ -74,9 +74,10 @@ func (c *rowCache) shard(ik []byte) *rowShard {
 	return &c.shards[(h>>59)%rowShards]
 }
 
-// get returns a copy of the cached value for ik. The map index uses the
-// string(ik) conversion form so the lookup itself does not allocate.
-func (c *rowCache) get(ik []byte) ([]byte, bool) {
+// get returns a copy of the cached value for ik — its first limit bytes
+// when limit ≥ 0. The map index uses the string(ik) conversion form so the
+// lookup itself does not allocate.
+func (c *rowCache) get(ik []byte, limit int) ([]byte, bool) {
 	s := c.shard(ik)
 	s.mu.Lock()
 	slot, ok := s.items[string(ik)]
@@ -86,8 +87,12 @@ func (c *rowCache) get(ik []byte) ([]byte, bool) {
 	}
 	e := &s.ents[slot]
 	e.touched = true
-	out := make([]byte, len(e.val))
-	copy(out, e.val)
+	v := e.val
+	if limit >= 0 && len(v) > limit {
+		v = v[:limit]
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
 	s.mu.Unlock()
 	return out, true
 }

@@ -137,3 +137,44 @@ func TestRowCacheConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestGetPrefixSkipsRowCache: prefix reads (the replication layer's header
+// reads on non-serving replicas) leave the row cache unfilled, so they
+// cannot evict the rows whole reads keep hot; they are still answered from
+// it on a hit.
+func TestGetPrefixSkipsRowCache(t *testing.T) {
+	ctx := context.Background()
+	b := openT(t, t.TempDir(), Options{})
+	defer b.Close()
+	// "sst" is flushed into an SSTable; "mem" stays in the memtable.
+	if err := b.Put(ctx, "t", "sst", []byte("sst payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(ctx, "t", "mem", []byte("mem payload")); err != nil {
+		t.Fatal(err)
+	}
+	cached := func(k string) bool {
+		_, ok := b.rows.get(ikey("t", k), -1)
+		return ok
+	}
+	for _, k := range []string{"mem", "sst"} {
+		if v, ok, err := b.GetPrefix(ctx, "t", k, 3); err != nil || !ok || string(v) != k[:3] {
+			t.Fatalf("GetPrefix(%s) = %q, %v, %v", k, v, ok, err)
+		}
+		if cached(k) {
+			t.Fatalf("GetPrefix filled the row cache for %s", k)
+		}
+	}
+	if _, _, err := b.Get(ctx, "t", "sst"); err != nil {
+		t.Fatal(err)
+	}
+	if !cached("sst") {
+		t.Fatal("whole Get did not fill the row cache")
+	}
+	if v, ok, err := b.GetPrefix(ctx, "t", "sst", 5); err != nil || !ok || string(v) != "sst p" {
+		t.Fatalf("GetPrefix on a row-cache hit = %q, %v, %v", v, ok, err)
+	}
+}

@@ -346,42 +346,26 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, op byte, body, resp []by
 		return reply(bw, resp, wire.StOK, nil)
 
 	case wire.OpMultiGet:
-		table, rest, err := codec.String(body)
+		table, keys, prefix, err := wire.MultiGetRequest(body)
 		if err != nil {
 			return resp, err
-		}
-		n, rest, err := codec.Uvarint(rest)
-		if err != nil {
-			return resp, err
-		}
-		// Every key needs at least its length prefix in the body; a count
-		// the body cannot possibly hold is stream corruption (or a hostile
-		// client) and must not size an allocation.
-		if n > uint64(len(rest))+1 {
-			return resp, fmt.Errorf("engined: multiget count %d exceeds body", n)
-		}
-		keys := make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var k string
-			k, rest, err = codec.String(rest)
-			if err != nil {
-				return resp, err
-			}
-			keys = append(keys, k)
 		}
 		resp = append(resp[:0], wire.StOK)
 		resp = codec.PutUvarint(resp, uint64(len(keys)))
-		for _, k := range keys {
-			value, ok, err := s.be.Get(s.baseCtx, table, k)
+		for i, k := range keys {
+			var value []byte
+			var ok bool
+			if prefix[i] > 0 {
+				// Header read: engines implementing engine.PrefixGetter copy
+				// only the prefix, the rest are cut here.
+				value, ok, err = engine.GetPrefix(s.baseCtx, s.be, table, k, prefix[i])
+			} else {
+				value, ok, err = s.be.Get(s.baseCtx, table, k)
+			}
 			if err != nil {
 				return replyErr(bw, resp, err)
 			}
-			if !ok {
-				resp = append(resp, 0)
-				continue
-			}
-			resp = append(resp, 1)
-			resp = codec.PutBytes(resp, value)
+			resp = wire.PutMultiGetResult(resp, value, ok)
 		}
 		// A batch whose combined values exceed MaxFrame fails the frame
 		// write and drops the connection; the cluster layer falls back to

@@ -440,47 +440,26 @@ func (c *Client) Get(ctx context.Context, table, key string) ([]byte, bool, erro
 // order. The whole batch shares one retry schedule, so a dead node costs
 // one operation's worth of attempts regardless of batch size.
 func (c *Client) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
-	req := []byte{wire.OpMultiGet}
-	req = codec.PutString(req, table)
-	req = codec.PutUvarint(req, uint64(len(keys)))
-	for _, k := range keys {
-		req = codec.PutString(req, k)
-	}
+	return c.MultiGetPrefix(ctx, table, keys, nil)
+}
+
+// MultiGetPrefix is MultiGet with a per-key byte budget: prefix[i] > 0
+// reads at most the first prefix[i] bytes of keys[i] (the node serves it
+// through engine.PrefixGetter when its engine has one), 0 reads the whole
+// value, and a nil prefix reads every value whole. Still one OpMultiGet
+// frame per batch.
+func (c *Client) MultiGetPrefix(ctx context.Context, table string, keys []string, prefix []int) ([][]byte, []bool, error) {
+	req := wire.PutMultiGetRequest([]byte{wire.OpMultiGet}, table, keys, prefix)
 	var values [][]byte
 	var present []bool
 	err := c.do(ctx, req, nil, func(status byte, body []byte) (bool, bool, error) {
 		switch status {
 		case wire.StOK:
-			// Fresh slices per attempt: a retried exchange must not leak
-			// results of a half-decoded earlier response.
-			values = make([][]byte, len(keys))
-			present = make([]bool, len(keys))
-			n, rest, err := codec.Uvarint(body)
-			if err != nil {
+			// Decoded into fresh slices per attempt: a retried exchange
+			// must not leak results of a half-decoded earlier response.
+			var err error
+			if values, present, err = wire.MultiGetResults(body, len(keys), prefix); err != nil {
 				return true, false, transportErr(err)
-			}
-			if n != uint64(len(keys)) {
-				return true, false, transportErr(fmt.Errorf("%w: multiget answered %d of %d keys", types.ErrCorrupt, n, len(keys)))
-			}
-			for i := uint64(0); i < n; i++ {
-				if len(rest) == 0 {
-					return true, false, transportErr(fmt.Errorf("%w: truncated multiget response", types.ErrCorrupt))
-				}
-				flag := rest[0]
-				rest = rest[1:]
-				switch flag {
-				case 0:
-				case 1:
-					var v []byte
-					v, rest, err = codec.Bytes(rest)
-					if err != nil {
-						return true, false, transportErr(err)
-					}
-					values[i] = append([]byte(nil), v...) // v aliases the receive buffer
-					present[i] = true
-				default:
-					return true, false, transportErr(fmt.Errorf("%w: multiget result flag %d", types.ErrCorrupt, flag))
-				}
 			}
 			return true, false, nil
 		case wire.StErr:

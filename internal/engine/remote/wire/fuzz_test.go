@@ -134,3 +134,84 @@ func FuzzHashRangeFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMultiGetFrame hardens both halves of the shared OpMultiGet codec:
+// arbitrary request bodies must decode or be rejected as corruption, never
+// panic or size an allocation past the body; the response decoder, run
+// against the accepted request's key count and prefixes, must enforce the
+// count and every prefix bound. Anything accepted must round-trip through
+// the encoders.
+func FuzzMultiGetFrame(f *testing.F) {
+	req := PutMultiGetRequest(nil, "chunks", []string{"a", "a", "", "z\x00k"}, []int{0, 9, 9, 1 << 20})
+	var resp []byte
+	resp = binary.AppendUvarint(resp, 4)
+	resp = PutMultiGetResult(resp, []byte("whole value"), true)
+	resp = PutMultiGetResult(resp, []byte("header123"), true)
+	resp = PutMultiGetResult(resp, nil, false)
+	resp = PutMultiGetResult(resp, nil, true)
+	f.Add(req, resp)
+	f.Add(PutMultiGetRequest(nil, "t", nil, nil), binary.AppendUvarint(nil, 0))
+	f.Add([]byte{}, []byte{})
+	// A key count the body cannot hold must be rejected before allocation.
+	f.Add(binary.AppendUvarint(PutMultiGetRequest(nil, "t", nil, nil)[:2], 1<<40), []byte{})
+	// A prefixed result longer than its prefix must be rejected.
+	over := PutMultiGetResult(binary.AppendUvarint(nil, 1), []byte("0123456789"), true)
+	f.Add(PutMultiGetRequest(nil, "t", []string{"k"}, []int{9}), over)
+	f.Fuzz(func(t *testing.T, reqBody, respBody []byte) {
+		n, prefix := len(respBody)%4, []int(nil)
+		table, keys, pre, err := MultiGetRequest(reqBody)
+		switch {
+		case err != nil:
+			if !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("request rejection not classified as corruption: %v", err)
+			}
+		default:
+			if len(keys) > len(reqBody)/2 || len(pre) != len(keys) {
+				t.Fatalf("accepted %d keys, %d prefixes from a %d-byte body", len(keys), len(pre), len(reqBody))
+			}
+			t2, k2, p2, err := MultiGetRequest(PutMultiGetRequest(nil, table, keys, pre))
+			if err != nil {
+				t.Fatalf("re-decoding accepted request: %v", err)
+			}
+			if t2 != table || len(k2) != len(keys) {
+				t.Fatalf("request does not round-trip: %q/%d vs %q/%d", t2, len(k2), table, len(keys))
+			}
+			for i := range keys {
+				if k2[i] != keys[i] || p2[i] != pre[i] {
+					t.Fatalf("key %d does not round-trip: %q/%d vs %q/%d", i, k2[i], p2[i], keys[i], pre[i])
+				}
+			}
+			n, prefix = len(keys), pre
+		}
+
+		values, present, err := MultiGetResults(respBody, n, prefix)
+		if err != nil {
+			if !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("response rejection not classified as corruption: %v", err)
+			}
+			return
+		}
+		if len(values) != n || len(present) != n {
+			t.Fatalf("accepted %d values, %d flags for %d keys", len(values), len(present), n)
+		}
+		again := binary.AppendUvarint(nil, uint64(n))
+		for i := range values {
+			if prefix != nil && prefix[i] > 0 && len(values[i]) > prefix[i] {
+				t.Fatalf("result %d: %d bytes accepted for a %d-byte prefix", i, len(values[i]), prefix[i])
+			}
+			if !present[i] && values[i] != nil {
+				t.Fatalf("result %d: absent key carries %q", i, values[i])
+			}
+			again = PutMultiGetResult(again, values[i], present[i])
+		}
+		v2, p2, err := MultiGetResults(again, n, prefix)
+		if err != nil {
+			t.Fatalf("re-decoding accepted response: %v", err)
+		}
+		for i := range values {
+			if p2[i] != present[i] || !bytes.Equal(v2[i], values[i]) {
+				t.Fatalf("result %d does not round-trip", i)
+			}
+		}
+	})
+}

@@ -50,15 +50,19 @@ const (
 	OpReset
 	// OpMultiGet reads N keys of one table in a single round trip:
 	//
-	//	request  := OpMultiGet table(string) count(uvarint) key(string)*count
+	//	request  := OpMultiGet table(string) count(uvarint)
+	//	            count × (key(string) prefix(uvarint))
 	//	response := StOK count(uvarint) result*count   |   StErr text
 	//	result   := 0x00                (key absent)
 	//	          | 0x01 value(bytes)   (key present)
 	//
+	// prefix 0 asks for the whole value; prefix p > 0 for at most its
+	// first p bytes (the replication layer's envelope-header reads).
 	// Results are returned in request order and count always equals the
 	// request's count. This is the batched read the cluster's MultiGet path
 	// rides on: one frame out, one frame back, instead of one exchange per
-	// key per replica.
+	// key per replica. PutMultiGetRequest, MultiGetRequest,
+	// PutMultiGetResult and MultiGetResults are the shared codec.
 	OpMultiGet
 	// OpHashTree fetches a hash-tree digest of one table — the anti-entropy
 	// summary exchange (engine.HashRanger):
@@ -128,6 +132,113 @@ func CompactionStats(body []byte) (engine.CompactionStats, error) {
 	st.CompactedBytes = int64(compacted)
 	st.Segments = int(segs)
 	return st, nil
+}
+
+// PutMultiGetRequest appends the OpMultiGet request body (everything after
+// the op byte). prefix[i] is the byte budget of keys[i], 0 meaning the
+// whole value; a nil prefix asks for every value whole.
+func PutMultiGetRequest(buf []byte, table string, keys []string, prefix []int) []byte {
+	buf = codec.PutString(buf, table)
+	buf = codec.PutUvarint(buf, uint64(len(keys)))
+	for i, k := range keys {
+		buf = codec.PutString(buf, k)
+		p := 0
+		if prefix != nil {
+			p = prefix[i]
+		}
+		buf = codec.PutUvarint(buf, uint64(p))
+	}
+	return buf
+}
+
+// MultiGetRequest decodes the body PutMultiGetRequest produced; prefix
+// always comes back with one entry per key. The count is checked against
+// the body before anything is sized (each key costs at least two bytes:
+// its length and its prefix), a prefix past MaxFrame is refused, and
+// trailing bytes are a framing error.
+func MultiGetRequest(body []byte) (table string, keys []string, prefix []int, err error) {
+	table, rest, err := codec.String(body)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	n, rest, err := codec.Uvarint(rest)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	if n > uint64(len(rest))/2 {
+		return "", nil, nil, fmt.Errorf("%w: multiget announces %d keys in %d bytes", types.ErrCorrupt, n, len(rest))
+	}
+	keys = make([]string, n)
+	prefix = make([]int, n)
+	for i := range keys {
+		if keys[i], rest, err = codec.String(rest); err != nil {
+			return "", nil, nil, err
+		}
+		var p uint64
+		if p, rest, err = codec.Uvarint(rest); err != nil {
+			return "", nil, nil, err
+		}
+		if p > MaxFrame {
+			return "", nil, nil, fmt.Errorf("%w: multiget prefix %d exceeds frame limit", types.ErrCorrupt, p)
+		}
+		prefix[i] = int(p)
+	}
+	if len(rest) != 0 {
+		return "", nil, nil, fmt.Errorf("%w: %d trailing bytes after multiget keys", types.ErrCorrupt, len(rest))
+	}
+	return table, keys, prefix, nil
+}
+
+// PutMultiGetResult appends one key's result to an OpMultiGet response
+// body: 0x00 when absent, 0x01 and the value when present.
+func PutMultiGetResult(buf, value []byte, present bool) []byte {
+	if !present {
+		return append(buf, 0)
+	}
+	return codec.PutBytes(append(buf, 1), value)
+}
+
+// MultiGetResults decodes an OpMultiGet StOK body answering n keys read
+// with prefix (nil: all whole). Values are copied out of body, which
+// aliases a receive buffer. The body must answer exactly n keys, a
+// prefixed key's value may not exceed its prefix, and trailing bytes are a
+// framing error.
+func MultiGetResults(body []byte, n int, prefix []int) (values [][]byte, present []bool, err error) {
+	count, rest, err := codec.Uvarint(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	if count != uint64(n) {
+		return nil, nil, fmt.Errorf("%w: multiget answered %d of %d keys", types.ErrCorrupt, count, n)
+	}
+	values = make([][]byte, n)
+	present = make([]bool, n)
+	for i := range values {
+		if len(rest) == 0 {
+			return nil, nil, fmt.Errorf("%w: truncated multiget response", types.ErrCorrupt)
+		}
+		flag := rest[0]
+		rest = rest[1:]
+		switch flag {
+		case 0:
+		case 1:
+			var v []byte
+			if v, rest, err = codec.Bytes(rest); err != nil {
+				return nil, nil, err
+			}
+			if prefix != nil && prefix[i] > 0 && len(v) > prefix[i] {
+				return nil, nil, fmt.Errorf("%w: multiget returned %d bytes for a %d-byte prefix", types.ErrCorrupt, len(v), prefix[i])
+			}
+			values[i] = append([]byte(nil), v...)
+			present[i] = true
+		default:
+			return nil, nil, fmt.Errorf("%w: multiget result flag %d", types.ErrCorrupt, flag)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes after multiget results", types.ErrCorrupt, len(rest))
+	}
+	return values, present, nil
 }
 
 // putU64 appends a fixed 8-byte little-endian integer. Hashes travel

@@ -221,11 +221,11 @@ func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) boo
 	if len(keys) == 0 {
 		return true
 	}
-	vi, pi, err := a.s.nodes[i].multiGet(ctx, table, keys)
+	vi, pi, err := a.s.nodes[i].multiGet(ctx, table, keys, nil)
 	if err != nil {
 		return false
 	}
-	vj, pj, err := a.s.nodes[j].multiGet(ctx, table, keys)
+	vj, pj, err := a.s.nodes[j].multiGet(ctx, table, keys, nil)
 	if err != nil {
 		return false
 	}

@@ -35,8 +35,9 @@ func (n *node) get(ctx context.Context, table, key string) ([]byte, bool, error)
 
 // multiGet reads many keys in one transport call (a single wire round trip
 // on remote nodes); values and presence flags come back in request order.
-func (n *node) multiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
-	return n.tr.multiGet(ctx, table, keys)
+// prefix bounds the bytes read per key (see transport.multiGet).
+func (n *node) multiGet(ctx context.Context, table string, keys []string, prefix []int) ([][]byte, []bool, error) {
+	return n.tr.multiGet(ctx, table, keys, prefix)
 }
 
 // del physically removes (table, key) from this node's backend. Only the

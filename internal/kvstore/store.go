@@ -630,10 +630,13 @@ func (s *Store) Get(ctx context.Context, table, key string) ([]byte, error) {
 // (tombstone first, then lowest node id — lwwNewer), so every reader and
 // every repair picks the same winner. On remote clusters the replicas are
 // consulted concurrently so one dead node's dial-retry latency does not
-// stack in front of the others. Cost accounting charges one request per
-// key regardless: replica consultation is modeled as free digest reads,
-// mirroring how Put charges once despite its replica fan-out. It reports
-// whether any replica was reachable; err is a hard engine error.
+// stack in front of the others. Every replica's value is read whole here:
+// lwwGet is the point-read path and the batched path's fallback for keys
+// whose winner its digest reads could not supply, so it must be able to
+// return (and repair with) any replica's payload. Cost accounting charges
+// one request per key regardless, mirroring how Put charges once despite
+// its replica fan-out. It reports whether any replica was reachable; err
+// is a hard engine error.
 //
 // Divergence observed here is also queued for read repair: live replicas
 // that returned an older version (or missed a live key, or hold a value a
@@ -658,7 +661,8 @@ func (s *Store) lwwGet(ctx context.Context, table, key string) (v []byte, ok, an
 			r.raw, r.present, r.err = s.nodes[n].get(ctx, table, key)
 		}
 	}
-	return s.resolveRead(table, key, replicas, results)
+	v, ok, anyUp, _, err = s.resolveRead(table, key, replicas, results)
+	return v, ok, anyUp, err
 }
 
 // readResult is one replica's answer for one key: a raw envelope (or its
@@ -667,9 +671,13 @@ func (s *Store) lwwGet(ctx context.Context, table, key string) (v []byte, ok, an
 type readResult struct {
 	raw     []byte
 	present bool
-	err     error
-	ts      uint64
-	tomb    bool
+	// header marks a digest read: raw holds only the envelope header, so
+	// the result votes on the winning version but cannot supply its
+	// payload.
+	header bool
+	err    error
+	ts     uint64
+	tomb   bool
 }
 
 // resolveRead LWW-merges one key's per-replica read results: the newest
@@ -678,18 +686,26 @@ type readResult struct {
 // to TTL collection. It is the shared resolution step of lwwGet and the
 // batched MultiGet path, so both observe divergence identically. results
 // must align with replicas (results[j] answers replicas[j]).
-func (s *Store) resolveRead(table, key string, replicas []int, results []readResult) (v []byte, ok, anyUp bool, err error) {
+//
+// The winner is picked from every result, header reads included, but its
+// payload comes only from a whole read carrying the winning (ts, tomb).
+// When the winner is a value that only header reads carried (the serving
+// replica was stale, missing or down), resolveRead reports unread and
+// does nothing else: the caller re-reads the key whole through lwwGet,
+// which repairs and observes tombstones on its own.
+func (s *Store) resolveRead(table, key string, replicas []int, results []readResult) (v []byte, ok, anyUp, unread bool, err error) {
 	var best []byte
-	var bestTS uint64
-	var bestNode int
+	var bestTS, fullTS uint64
+	var bestNode, fullNode int
 	found, tombstone := false, false
+	fullFound, fullTomb := false, false
 	for i := range results {
 		r := &results[i]
 		if isUnavailable(r.err) {
 			continue
 		}
 		if r.err != nil {
-			return nil, false, true, r.err
+			return nil, false, true, false, r.err
 		}
 		anyUp = true
 		if !r.present {
@@ -697,12 +713,21 @@ func (s *Store) resolveRead(table, key string, replicas []int, results []readRes
 		}
 		payload, ts, tomb, err := unenvelope(r.raw)
 		if err != nil {
-			return nil, false, true, err
+			return nil, false, true, false, err
 		}
 		r.ts, r.tomb = ts, tomb
 		if !found || lwwNewer(ts, tomb, replicas[i], bestTS, tombstone, bestNode) {
-			found, bestTS, tombstone, bestNode, best = true, ts, tomb, replicas[i], payload
+			found, bestTS, tombstone, bestNode = true, ts, tomb, replicas[i]
 		}
+		if !r.header && (!fullFound || lwwNewer(ts, tomb, replicas[i], fullTS, fullTomb, fullNode)) {
+			fullFound, fullTS, fullTomb, fullNode, best = true, ts, tomb, replicas[i], payload
+		}
+	}
+	if found && !tombstone && (!fullFound || fullTS != bestTS || fullTomb != tombstone) {
+		return nil, false, anyUp, true, nil
+	}
+	if tombstone {
+		best = nil // a tombstone has no payload; best may be an older value's
 	}
 
 	if s.repair != nil && found {
@@ -747,9 +772,9 @@ func (s *Store) resolveRead(table, key string, replicas []int, results []readRes
 	}
 
 	if !found || tombstone {
-		return nil, false, anyUp, nil
+		return nil, false, anyUp, false, nil
 	}
-	return best, true, anyUp, nil
+	return best, true, anyUp, false, nil
 }
 
 // Delete removes (table, key) from all replicas by writing a tombstone:
@@ -833,9 +858,11 @@ func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*Mul
 	// O(1) per-replica load counters). available() is only a hint (a remote
 	// node's liveness is discovered per request), so the fetch paths below
 	// still fall back across replicas. The serving grouping drives the
-	// simulated batch cost; the physical reads consult every replica.
+	// simulated batch cost, and the batched path reads each value whole
+	// only from its serving replica (the others return envelope headers).
 	rf := s.cfg.ReplicationFactor
 	replicasOf := make([][]int, len(keys))
+	serving := make([]int, len(keys))
 	load := make([]int, len(s.nodes))
 	byNode := make(map[int][]int)
 	for i, k := range keys {
@@ -857,6 +884,7 @@ func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*Mul
 			return nil, fmt.Errorf("kvstore: multiget %s: all replicas down for %q", table, k)
 		}
 		load[n]++
+		serving[i] = n
 		byNode[n] = append(byNode[n], i)
 	}
 
@@ -865,7 +893,7 @@ func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*Mul
 	if s.cfg.DisableReadBatching {
 		missing, err = s.multiGetPerKey(ctx, table, keys, byNode, res)
 	} else {
-		missing, err = s.multiGetBatched(ctx, table, keys, replicasOf, res)
+		missing, err = s.multiGetBatched(ctx, table, keys, replicasOf, serving, res)
 	}
 	if err != nil {
 		return nil, err
@@ -897,43 +925,53 @@ func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*Mul
 // node replicates, in parallel, then LWW-merges each key's answers across
 // its replicas' batches — the same resolution (and read-repair
 // observation) as the per-key path, at one wire round trip per node
-// instead of one per key per replica. A node whose batch failed as
-// unavailable contributes no answers (its keys merge from the replicas
-// that did answer, mirroring how lwwGet skips unavailable replicas); keys
-// with no answering replica at all are retried through per-key lwwGet,
-// whose per-operation retries re-discover liveness. Hard errors abort.
-func (s *Store) multiGetBatched(ctx context.Context, table string, keys []string, replicasOf [][]int, res *MultiGetResult) (missing []int, err error) {
+// instead of one per key per replica. Each value travels once: its
+// serving replica (serving[i]) reads it whole, every other replica only
+// its EnvelopeOverhead-byte header, which is all the LWW vote needs. A
+// node whose batch failed as unavailable contributes no answers (its keys
+// merge from the replicas that did answer, mirroring how lwwGet skips
+// unavailable replicas). Keys with no answering replica at all, and keys
+// whose winning value only a header read saw (the serving replica was
+// stale, missing or down), are re-read through per-key lwwGet, whose
+// whole reads supply the payload and the read repair, and whose
+// per-operation retries re-discover liveness. Hard errors abort.
+func (s *Store) multiGetBatched(ctx context.Context, table string, keys []string, replicasOf [][]int, serving []int, res *MultiGetResult) (missing []int, err error) {
 	// slot records where key i landed in each replica's batch, so its
 	// answers can be collected without searching.
 	type slot struct{ node, off int }
-	perNode := make(map[int][]int)
-	slots := make([][]slot, len(keys))
-	for i := range keys {
-		for _, r := range replicasOf[i] {
-			slots[i] = append(slots[i], slot{r, len(perNode[r])})
-			perNode[r] = append(perNode[r], i)
-		}
-	}
-
 	type batch struct {
+		keys    []string
+		prefix  []int
 		vals    [][]byte
 		present []bool
 		err     error
 	}
-	batches := make(map[int]*batch, len(perNode))
-	var wg sync.WaitGroup
-	for nid, idxs := range perNode {
-		b := &batch{}
-		batches[nid] = b
-		ks := make([]string, len(idxs))
-		for j, i := range idxs {
-			ks[j] = keys[i]
+	batches := make(map[int]*batch)
+	slots := make([][]slot, len(keys))
+	for i, k := range keys {
+		for _, r := range replicasOf[i] {
+			b := batches[r]
+			if b == nil {
+				b = &batch{}
+				batches[r] = b
+			}
+			p := EnvelopeOverhead
+			if r == serving[i] {
+				p = 0
+			}
+			slots[i] = append(slots[i], slot{r, len(b.keys)})
+			b.keys = append(b.keys, k)
+			b.prefix = append(b.prefix, p)
 		}
+	}
+
+	var wg sync.WaitGroup
+	for nid, b := range batches {
 		wg.Add(1)
-		go func(nid int, ks []string, b *batch) {
+		go func(nid int, b *batch) {
 			defer wg.Done()
-			b.vals, b.present, b.err = s.nodes[nid].multiGet(ctx, table, ks)
-		}(nid, ks, b)
+			b.vals, b.present, b.err = s.nodes[nid].multiGet(ctx, table, b.keys, b.prefix)
+		}(nid, b)
 	}
 	wg.Wait()
 	for nid, b := range batches {
@@ -955,18 +993,21 @@ func (s *Store) multiGetBatched(ctx context.Context, table string, keys []string
 			answered = true
 			results[j].raw = b.vals[sl.off]
 			results[j].present = b.present[sl.off]
+			results[j].header = b.prefix[sl.off] > 0
 		}
 		if !answered {
 			fallback = append(fallback, i)
 			continue
 		}
-		v, ok, _, err := s.resolveRead(table, keys[i], replicasOf[i], results)
-		if err != nil {
+		v, ok, _, unread, err := s.resolveRead(table, keys[i], replicasOf[i], results)
+		switch {
+		case err != nil:
 			return nil, fmt.Errorf("kvstore: multiget %s/%s: %w", table, keys[i], err)
-		}
-		if ok {
+		case unread:
+			fallback = append(fallback, i)
+		case ok:
 			res.Values[i] = v
-		} else {
+		default:
 			missing = append(missing, i)
 		}
 	}

@@ -24,10 +24,14 @@ type transport interface {
 	put(ctx context.Context, table, key string, value []byte) error
 	get(ctx context.Context, table, key string) ([]byte, bool, error)
 	// multiGet reads many keys in one call: values and presence flags in
-	// request order. Over the wire this is a single round trip (OpMultiGet);
-	// locally it serves straight from the backend. All-or-nothing: a failing
-	// node fails the whole batch, never returns partial results.
-	multiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error)
+	// request order. prefix[i] > 0 asks for only the first prefix[i] bytes
+	// of keys[i] (an envelope-header read), 0 for the whole value; nil
+	// reads everything whole. The prefix is a budget, not a promise: a
+	// local backend with engine.MultiGetter returns whole values. Over the
+	// wire this is a single round trip (OpMultiGet); locally it serves
+	// straight from the backend. All-or-nothing: a failing node fails the
+	// whole batch, never returns partial results.
+	multiGet(ctx context.Context, table string, keys []string, prefix []int) ([][]byte, []bool, error)
 	del(ctx context.Context, table, key string) error
 	batchPut(ctx context.Context, table string, entries []engine.Entry) error
 	// scan visits every key/value of a table. Values passed to fn may alias
@@ -110,17 +114,26 @@ func (t *localTransport) get(ctx context.Context, table, key string) ([]byte, bo
 	return t.be.Get(ctx, table, key)
 }
 
-func (t *localTransport) multiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+func (t *localTransport) multiGet(ctx context.Context, table string, keys []string, prefix []int) ([][]byte, []bool, error) {
 	if err := t.gate(); err != nil {
 		return nil, nil, err
 	}
 	if mg, ok := t.be.(engine.MultiGetter); ok {
+		// One batched call beats per-key prefix reads; its values come back
+		// whole, which a header read's caller tolerates.
 		return mg.MultiGet(ctx, table, keys)
 	}
 	values := make([][]byte, len(keys))
 	present := make([]bool, len(keys))
 	for i, k := range keys {
-		v, ok, err := t.be.Get(ctx, table, k)
+		var v []byte
+		var ok bool
+		var err error
+		if prefix != nil && prefix[i] > 0 {
+			v, ok, err = engine.GetPrefix(ctx, t.be, table, k, prefix[i])
+		} else {
+			v, ok, err = t.be.Get(ctx, table, k)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -256,8 +269,8 @@ func (t *remoteTransport) get(ctx context.Context, table, key string) ([]byte, b
 	return t.c.Get(ctx, table, key)
 }
 
-func (t *remoteTransport) multiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
-	return t.c.MultiGet(ctx, table, keys)
+func (t *remoteTransport) multiGet(ctx context.Context, table string, keys []string, prefix []int) ([][]byte, []bool, error) {
+	return t.c.MultiGetPrefix(ctx, table, keys, prefix)
 }
 
 func (t *remoteTransport) del(ctx context.Context, table, key string) error {

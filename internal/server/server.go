@@ -248,7 +248,10 @@ const streamWriteTimeout = 60 * time.Second
 // streamRecords drives a query cursor onto the wire as NDJSON. An error
 // before the first record still maps to a plain HTTP error status; once
 // records are flowing the status line is long gone, so a failure becomes a
-// terminating error line.
+// terminating error line. Lines are flushed once per cursor fetch, not per
+// record: the records decoded so far reach the client just before the
+// cursor blocks on its next chunk batch, and the rest when the handler
+// returns.
 func (s *Server) streamRecords(w http.ResponseWriter, r *http.Request, cur *core.Cursor) {
 	next, stop := iter.Pull2(cur.Records())
 	defer stop()
@@ -261,7 +264,9 @@ func (s *Server) streamRecords(w http.ResponseWriter, r *http.Request, cur *core
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
+	if flusher, ok := w.(http.Flusher); ok {
+		cur.BeforeFetch(flusher.Flush)
+	}
 	rc := http.NewResponseController(w)
 	// The per-line deadline below lands on the CONNECTION, which outlives
 	// this response: without a WriteTimeout configured, net/http never
@@ -279,11 +284,6 @@ func (s *Server) streamRecords(w http.ResponseWriter, r *http.Request, cur *core
 			// alongside, this just stops sooner.
 			s.logf("rstore server: streaming response: %v", err)
 			return false
-		}
-		if flusher != nil {
-			// Flush per record: the first results must reach the client
-			// while later chunks are still being fetched.
-			flusher.Flush()
 		}
 		return true
 	}

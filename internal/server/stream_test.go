@@ -48,13 +48,19 @@ func (g *gatingBackend) Get(ctx context.Context, table, key string) ([]byte, boo
 // buildMultiChunkStore returns a server over a store whose version 0 spans
 // several chunks, fetched one per round (QueryFetchBatch 1, cache off).
 func buildMultiChunkStore(t *testing.T) (*httptest.Server, *core.Store, *gatingBackend) {
+	return buildChunkedStore(t, 1)
+}
+
+// buildChunkedStore is buildMultiChunkStore with fetchBatch chunks per
+// fetch round.
+func buildChunkedStore(t *testing.T, fetchBatch int) (*httptest.Server, *core.Store, *gatingBackend) {
 	t.Helper()
 	gate := &gatingBackend{Backend: memory.New(), blocked: make(chan struct{}, 1)}
 	kv, err := kvstore.Open(context.Background(), kvstore.Config{NewBackend: func(int) (engine.Backend, error) { return gate, nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.Open(context.Background(), core.Config{KV: kv, ChunkCapacity: 256, QueryFetchBatch: 1})
+	st, err := core.Open(context.Background(), core.Config{KV: kv, ChunkCapacity: 256, QueryFetchBatch: fetchBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +162,41 @@ func TestHTTPStreamStatsTrailer(t *testing.T) {
 	}
 	if qr.Stats.Records != 16 || qr.Stats.Span != st.NumChunks() {
 		t.Fatalf("trailer stats: %+v (chunks %d)", qr.Stats, st.NumChunks())
+	}
+}
+
+// flushCounter is a ResponseWriter that counts explicit Flush calls.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestHTTPStreamFlushesPerFetch pins the streaming write policy: records
+// are flushed once per cursor fetch, not once per record, so a version
+// spanning k fetch batches costs at most k+1 flushes — and at least one,
+// since later batches are fetched after earlier records went out.
+func TestHTTPStreamFlushesPerFetch(t *testing.T) {
+	const batch = 4
+	_, st, _ := buildChunkedStore(t, batch)
+	k := (st.NumChunks() + batch - 1) / batch // cache off: every batch is a fetch
+	if k < 2 {
+		t.Fatalf("need a version spanning several fetch batches, got %d chunks", st.NumChunks())
+	}
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	New(st).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/version/0", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	if lines := strings.Count(w.Body.String(), "\n"); lines != 16+1 {
+		t.Fatalf("%d NDJSON lines, want 16 records + stats", lines)
+	}
+	if w.flushes < 1 || w.flushes > k+1 {
+		t.Fatalf("%d flushes for a %d-batch version, want 1..%d", w.flushes, k, k+1)
 	}
 }
 

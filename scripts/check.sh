@@ -53,6 +53,7 @@ run_fuzz() {
   go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzHashTreeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzHashRangeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
+  go test -fuzz=FuzzMultiGetFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
 }
 
