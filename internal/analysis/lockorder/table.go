@@ -45,21 +45,46 @@ var Table = []Edge{
 	{
 		From:   "rstore/internal/core.Store.mu",
 		To:     "rstore/internal/core.chunkCache.mu",
-		Reason: "commit paths under the document-store lock populate the chunk cache; the cache lock is a leaf protecting only its own map",
+		Reason: "queries under the read side populate the chunk cache and publish steps under the write side invalidate it; the cache lock is a leaf protecting only its own map",
 	},
 	{
 		From:   "rstore/internal/core.Store.mu",
 		To:     "rstore/internal/kvstore.repairer.mu",
-		Reason: "core commits under Store.mu write through kvstore, whose read-repair bookkeeping takes its own short-lived locks; kvstore never calls back into core",
+		Reason: "queries under Store.mu read through kvstore, whose read-repair bookkeeping takes its own short-lived locks; kvstore never calls back into core",
 	},
 	{
 		From:   "rstore/internal/core.Store.mu",
 		To:     "rstore/internal/kvstore.repairer.hmu",
-		Reason: "core commits under Store.mu can park hints in kvstore; the hint-queue lock is a leaf and kvstore never calls back into core",
+		Reason: "queries under Store.mu can park repair hints in kvstore; the hint-queue lock is a leaf and kvstore never calls back into core",
 	},
 	{
 		From:   "rstore/internal/core.Store.mu",
 		To:     "rstore/internal/kvstore.repairer.tmu",
-		Reason: "core commits under Store.mu can record repair targets in kvstore; the target-table lock is a leaf and kvstore never calls back into core",
+		Reason: "queries under Store.mu can record repair targets in kvstore; the target-table lock is a leaf and kvstore never calls back into core",
+	},
+	{
+		From:   "rstore/internal/core.Store.writeMu",
+		To:     "rstore/internal/core.Store.mu",
+		Reason: "mutators serialize on writeMu and take mu only to publish their staged result; mu holders (queries, publish sections) never take writeMu",
+	},
+	{
+		From:   "rstore/internal/core.Store.writeMu",
+		To:     "rstore/internal/core.chunkCache.mu",
+		Reason: "flush and materialize invalidate or reset the chunk cache while serialized on writeMu; the cache lock is a leaf protecting only its own map",
+	},
+	{
+		From:   "rstore/internal/core.Store.writeMu",
+		To:     "rstore/internal/kvstore.repairer.mu",
+		Reason: "mutators do all their KVS I/O under writeMu, and kvstore's read-repair bookkeeping takes its own short-lived locks; kvstore never calls back into core",
+	},
+	{
+		From:   "rstore/internal/core.Store.writeMu",
+		To:     "rstore/internal/kvstore.repairer.hmu",
+		Reason: "mutators' writes under writeMu can park hints in kvstore; the hint-queue lock is a leaf and kvstore never calls back into core",
+	},
+	{
+		From:   "rstore/internal/core.Store.writeMu",
+		To:     "rstore/internal/kvstore.repairer.tmu",
+		Reason: "mutators' writes under writeMu can record repair targets in kvstore; the target-table lock is a leaf and kvstore never calls back into core",
 	},
 }

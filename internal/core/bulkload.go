@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sort"
 
-	"rstore/internal/chunk"
 	"rstore/internal/corpus"
-	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
 
@@ -15,29 +13,26 @@ import (
 // from another system) into an empty store and materializes it offline with
 // the configured partitioner. The store takes ownership of the corpus.
 func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
-	s.mu.Lock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.mutable(); err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	if s.graph.NumVersions() != 0 {
-		s.mu.Unlock()
 		return fmt.Errorf("rstore: bulk load requires an empty store (have %d versions)", s.graph.NumVersions())
 	}
 	if err := c.Graph().Validate(); err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	s.graph = c.Graph()
-	s.corpus = c
-	s.locs = make([]chunk.Loc, c.NumRecords())
-	for i := range s.locs {
-		s.locs[i] = chunk.Loc{Chunk: chunk.NoChunk}
-	}
-	s.sortedKeys = append([]types.Key(nil), c.Keys()...)
-	sort.Slice(s.sortedKeys, func(i, j int) bool { return s.sortedKeys[i] < s.sortedKeys[j] })
-	s.mu.Unlock()
-	return s.Materialize(ctx)
+	keys := append([]types.Key(nil), c.Keys()...)
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	// The corpus is published together with its placement: a query never
+	// sees versions that are neither placed nor pending.
+	return s.materialize(ctx, c, func() {
+		s.graph = c.Graph()
+		s.corpus = c
+		s.sortedKeys = keys
+	})
 }
 
 // CommitDelta ingests a version whose delta the client computed itself —
@@ -47,8 +42,8 @@ func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
 // they re-introduce an existing record (merge traffic). The first commit
 // (parents = [InvalidVersion]) creates the root.
 func (s *Store) CommitDelta(ctx context.Context, parents []types.VersionID, delta *types.Delta) (types.VersionID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.mutable(); err != nil {
 		return types.InvalidVersion, err
 	}
@@ -81,42 +76,11 @@ func (s *Store) CommitDelta(ctx context.Context, parents []types.VersionID, delt
 			return types.InvalidVersion, fmt.Errorf("%w: delta deletes unknown record %v", types.ErrNotFound, ck)
 		}
 	}
-
-	// Durable write first (see CommitMerge): a failure or cancellation here
-	// leaves no in-memory trace.
-	if err := s.kv.BatchPut(ctx, TableDeltaStore, []kvstore.Entry{{Key: deltaKey(v), Value: encodeDeltaEntry(parents, delta)}}); err != nil {
+	if err := s.addVersion(ctx, v, parents, delta); err != nil {
 		return types.InvalidVersion, err
 	}
-
-	var got types.VersionID
-	var err error
-	if parents[0] == types.InvalidVersion {
-		got, err = s.graph.AddRoot()
-	} else {
-		got, err = s.graph.AddVersion(parents...)
-	}
-	if err != nil {
+	if err := s.flushIfBatchFull(ctx); err != nil {
 		return types.InvalidVersion, err
-	}
-	if got != v {
-		return types.InvalidVersion, fmt.Errorf("rstore: internal: version id drift (%d vs %d)", got, v)
-	}
-	if err := s.corpus.AddVersionDelta(v, delta); err != nil {
-		return types.InvalidVersion, fmt.Errorf("rstore: internal: graph/corpus desync at version %d: %w", v, err)
-	}
-	s.noteNewKeys(delta)
-	for i := len(s.locs); i < s.corpus.NumRecords(); i++ {
-		s.locs = append(s.locs, chunk.Loc{Chunk: chunk.NoChunk})
-	}
-	s.pending = append(s.pending, v)
-	s.pendingSet[v] = true
-	if s.cfg.BatchSize > 0 && len(s.pending) >= s.cfg.BatchSize {
-		// Detached from the caller's cancellation (see CommitMerge): the
-		// commit stands; the batch flush must not be wedgeable by a
-		// per-request ctx.
-		if err := s.flushLocked(context.WithoutCancel(ctx)); err != nil {
-			return types.InvalidVersion, err
-		}
 	}
 	return v, nil
 }

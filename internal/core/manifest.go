@@ -23,37 +23,54 @@ const manifestKey = "manifest"
 // chunk keys and must be re-initialized, not misread.
 const manifestVersion = 2
 
-// saveManifest persists everything needed to reopen the store against the
+// manifest is what a saved manifest records besides the branches: the
+// corpus (version graph and per-version deltas) and where its records are
+// placed. A mutator that stages a new placement saves it before publishing
+// it.
+type manifest struct {
+	corpus    *corpus.Corpus
+	gen       uint32
+	numChunks uint32
+	pending   []types.VersionID
+}
+
+// saveManifest persists the published state (see writeManifest).
+func (s *Store) saveManifest(ctx context.Context) error {
+	return s.writeManifest(ctx, manifest{corpus: s.corpus, gen: s.gen, numChunks: s.numChunks, pending: s.pending})
+}
+
+// writeManifest persists everything needed to reopen the store against the
 // same KVS: the placement generation, the version graph with per-version
 // composite-key deltas (values live in chunks / the delta store), branches,
-// chunk count, and the pending set. Called under s.mu.
-func (s *Store) saveManifest(ctx context.Context) error {
+// chunk count, and the pending set. Called under s.writeMu.
+func (s *Store) writeManifest(ctx context.Context, m manifest) error {
 	var buf []byte
 	buf = codec.PutUvarint(buf, manifestVersion)
-	buf = codec.PutUvarint(buf, uint64(s.gen))
-	n := s.graph.NumVersions()
+	buf = codec.PutUvarint(buf, uint64(m.gen))
+	c := m.corpus
+	n := c.Graph().NumVersions()
 	buf = codec.PutUvarint(buf, uint64(n))
 	for v := 0; v < n; v++ {
 		vv := types.VersionID(v)
-		parents := s.graph.Parents(vv)
+		parents := c.Graph().Parents(vv)
 		buf = codec.PutUvarint(buf, uint64(len(parents)))
 		for _, p := range parents {
 			buf = codec.PutUvarint(buf, uint64(p))
 		}
-		adds := s.corpus.Adds(vv)
+		adds := c.Adds(vv)
 		buf = codec.PutUvarint(buf, uint64(len(adds)))
 		for _, id := range adds {
-			buf = codec.PutCompositeKey(buf, s.corpus.Record(id).CK)
+			buf = codec.PutCompositeKey(buf, c.Record(id).CK)
 		}
-		dels := s.corpus.Dels(vv)
+		dels := c.Dels(vv)
 		buf = codec.PutUvarint(buf, uint64(len(dels)))
 		for _, id := range dels {
-			buf = codec.PutCompositeKey(buf, s.corpus.Record(id).CK)
+			buf = codec.PutCompositeKey(buf, c.Record(id).CK)
 		}
 	}
-	buf = codec.PutUvarint(buf, uint64(s.numChunks))
-	buf = codec.PutUvarint(buf, uint64(len(s.pending)))
-	for _, v := range s.pending {
+	buf = codec.PutUvarint(buf, uint64(m.numChunks))
+	buf = codec.PutUvarint(buf, uint64(len(m.pending)))
+	for _, v := range m.pending {
 		buf = codec.PutUvarint(buf, uint64(v))
 	}
 	names := make([]string, 0, len(s.branches))
@@ -90,8 +107,8 @@ func Exists(ctx context.Context, kv *kvstore.Store) (bool, error) {
 // later-acknowledged commits against (flush and SetBranch refresh it as a
 // side effect).
 func (s *Store) Checkpoint(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
+	"rstore/internal/corpus"
 	"rstore/internal/index"
 	"rstore/internal/kvstore"
 	"rstore/internal/subchunk"
@@ -16,21 +17,30 @@ import (
 // entire corpus — sub-chunk construction (if k>1), chunking, chunk-map and
 // projection construction — and persists everything to the KVS. It is the
 // bulk-load path and doubles as the periodic full repartitioning that §4
-// recommends combining with online batching.
+// recommends combining with online batching. Queries keep reading the
+// previous placement until the new one is persisted and published.
 func (s *Store) Materialize(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	return s.materializeLocked(ctx)
+	return s.materialize(ctx, s.corpus, nil)
 }
 
-func (s *Store) materializeLocked(ctx context.Context) error {
-	if s.graph.NumVersions() == 0 {
+// materialize builds and persists the next placement generation of corpus
+// c, then publishes it; adopt (nil: none) runs inside the same critical
+// section, for a caller that publishes c itself. Caller holds writeMu.
+func (s *Store) materialize(ctx context.Context, c *corpus.Corpus, adopt func()) error {
+	if c.Graph().NumVersions() == 0 {
+		if adopt != nil {
+			s.mu.Lock()
+			adopt()
+			s.mu.Unlock()
+		}
 		return nil
 	}
-	res, err := subchunk.Build(s.corpus, s.cfg.SubChunkK, s.cfg.ChunkCapacity)
+	res, err := subchunk.Build(c, s.cfg.SubChunkK, s.cfg.ChunkCapacity)
 	if err != nil {
 		return fmt.Errorf("rstore: materialize: %w", err)
 	}
@@ -42,14 +52,14 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 	}
 
 	proj := index.New()
-	built, err := chunk.Build(s.corpus, res.In.Items, assign.Chunks, proj)
+	built, err := chunk.Build(c, res.In.Items, assign.Chunks, proj)
 	if err != nil {
 		return fmt.Errorf("rstore: materialize: %w", err)
 	}
-	for id := 0; id < s.corpus.NumRecords(); id++ {
+	for id := 0; id < c.NumRecords(); id++ {
 		loc := built.Locs[id]
 		if loc.Chunk != chunk.NoChunk {
-			proj.AddKeyChunk(s.corpus.Record(uint32(id)).CK.Key, loc.Chunk)
+			proj.AddKeyChunk(c.Record(uint32(id)).CK.Key, loc.Chunk)
 		}
 	}
 	proj.Normalize()
@@ -59,10 +69,11 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 	// the NEXT generation's keys (chunk.KVKey), so nothing is overwritten
 	// in place: until the manifest — which records the generation — commits
 	// below, the old manifest still pairs with the old generation's intact
-	// entries, and a crash anywhere in between leaves only superseded- or
-	// uncommitted-generation debris that Load garbage-collects. Stale
-	// leftovers (the whole previous generation, plus index entries the new
-	// projections did not rewrite) are deleted only after the commit point.
+	// entries (which concurrent queries keep reading), and a crash anywhere
+	// in between leaves only superseded- or uncommitted-generation debris
+	// that Load garbage-collects. Stale leftovers (the whole previous
+	// generation, plus index entries the new projections did not rewrite)
+	// are deleted only after the new generation is published.
 	staleChunks, err := s.tableKeys(ctx, TableChunks)
 	if err != nil {
 		return err
@@ -96,19 +107,26 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 	if err := proj.Save(ctx, s.kv); err != nil {
 		return err
 	}
+	numChunks := uint32(len(built.Payloads))
+	if err := s.writeManifest(ctx, manifest{corpus: c, gen: newGen, numChunks: numChunks}); err != nil {
+		return err
+	}
 
+	// Publish.
 	flushed := s.pending
+	s.mu.Lock()
+	if adopt != nil {
+		adopt()
+	}
 	s.locs = built.Locs
 	s.maps = built.Maps
 	s.proj = proj
-	s.numChunks = uint32(len(built.Payloads))
+	s.numChunks = numChunks
 	s.gen = newGen
 	s.pending = nil
 	s.pendingSet = make(map[types.VersionID]bool)
 	s.cache.reset() // every chunk id was reassigned
-	if err := s.saveManifest(ctx); err != nil {
-		return err
-	}
+	s.mu.Unlock()
 
 	// Cleanup after the commit point: superseded chunk/index entries and
 	// the drained write store.
@@ -122,7 +140,13 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 	if err := s.deleteStale(ctx, index.TableKeyIndex, staleKIdx, stringSet(kKeys)); err != nil {
 		return err
 	}
-	for _, v := range flushed {
+	return s.drainDeltas(ctx, flushed)
+}
+
+// drainDeltas deletes the delta-store entries of versions a published
+// placement now serves.
+func (s *Store) drainDeltas(ctx context.Context, placed []types.VersionID) error {
+	for _, v := range placed {
 		if err := s.kv.Delete(ctx, TableDeltaStore, deltaKey(v)); err != nil {
 			return err
 		}

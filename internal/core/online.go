@@ -8,6 +8,7 @@ import (
 	"rstore/internal/bitset"
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
+	"rstore/internal/index"
 	"rstore/internal/kvstore"
 	"rstore/internal/partition"
 	"rstore/internal/types"
@@ -20,6 +21,10 @@ import (
 // maps touched by the batch are rebuilt from in-memory state and written
 // back once, and the projections gain the new versions.
 //
+// Queries run concurrently with all of that: they keep serving the pending
+// versions through the delta overlay until the new placement is persisted,
+// and wait only for the short critical section that publishes it.
+//
 // Flush honors ctx for its KVS writes. An error mid-flush — including a
 // cancellation — never corrupts the persisted state (the chunks →
 // projections → manifest → delta-drain crash ordering means Load repairs
@@ -29,18 +34,26 @@ import (
 // non-cancellable context here unless abandoning the store on interruption
 // is acceptable.
 func (s *Store) Flush(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	return s.flushLocked(ctx)
+	return s.flush(ctx)
 }
 
-func (s *Store) flushLocked(ctx context.Context) error {
+// flush is the staged online flush behind Flush, batch-closing commits and
+// Close. Caller holds writeMu. Everything up to the manifest write is
+// staged off to the side — new record locations in a small map, projection
+// changes in a copy-on-write index.Edit — while s.maps, which no query
+// reads, is extended in place; the result is then published under mu in
+// one step.
+func (s *Store) flush(ctx context.Context) error {
 	if len(s.pending) == 0 {
 		return nil
 	}
+	// Drop chunk maps a failed earlier flush appended but never published.
+	s.maps = s.maps[:s.numChunks]
 
 	// New records: committed but not yet placed.
 	var newIDs []uint32
@@ -72,11 +85,20 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	}
 
 	touched := make(map[chunk.ID]bool)
+	placed := make(map[uint32]chunk.Loc, len(newIDs)) // staged s.locs updates
+	locOf := func(rec uint32) chunk.Loc {
+		if loc, ok := placed[rec]; ok {
+			return loc
+		}
+		return s.locs[rec]
+	}
 
-	// Materialize the new chunks: payloads, locations, empty maps.
+	// Build the new chunks: payloads, locations, empty maps.
+	numChunks := s.numChunks
+	payloads := make(map[chunk.ID][]byte, len(batchChunks))
 	for _, recs := range batchChunks {
-		cid := chunk.ID(s.numChunks)
-		s.numChunks++
+		cid := chunk.ID(numChunks)
+		numChunks++
 		items := make([]chunk.Item, len(recs))
 		for j, rec := range recs {
 			it, err := chunk.SingleRecordItem(s.corpus, rec)
@@ -84,52 +106,43 @@ func (s *Store) flushLocked(ctx context.Context) error {
 				return err
 			}
 			items[j] = it
-			s.locs[rec] = chunk.Loc{Chunk: cid, Slot: uint32(j)}
+			placed[rec] = chunk.Loc{Chunk: cid, Slot: uint32(j)}
 		}
-		payload := encodeChunkPayload(items)
-		s.chunkPayloadCache(cid, payload)
+		payloads[cid] = encodeChunkPayload(items)
 		s.maps = append(s.maps, chunk.NewMap(len(recs)))
 		touched[cid] = true
 	}
 
 	// Update chunk maps and the version projection for each pending
 	// version, in id order so parents are handled before children.
+	edit := s.proj.Edit()
 	for _, v := range s.pending {
-		span, err := s.extendMaps(v, touched)
+		span, err := s.extendMaps(v, edit, locOf, touched)
 		if err != nil {
 			return err
 		}
 		for _, cid := range span {
-			s.proj.ObserveVersionChunk(v, cid)
+			edit.ObserveVersionChunk(v, cid)
 		}
 		// Key projection entries for records newly placed at this version.
 		for _, rec := range s.corpus.Adds(v) {
-			loc := s.locs[rec]
-			s.proj.AddKeyChunk(s.corpus.Record(rec).CK.Key, loc.Chunk)
+			edit.AddKeyChunk(s.corpus.Record(rec).CK.Key, locOf(rec).Chunk)
 		}
 	}
-	s.proj.Normalize()
+	edit.Normalize()
 
 	// Persist: every touched chunk entry is rewritten once per batch (the
 	// paper's rebuild-instead-of-fetch optimization) in one batched write —
-	// grouped per replica node, one durability sync per node — then
-	// projections for the affected versions/keys, then the write store
-	// drains.
-	entries := make([]kvstore.Entry, 0, len(touched))
-	for cid := range touched {
-		payload, err := s.payloadOf(ctx, cid)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, kvstore.Entry{
-			Key:   chunk.KVKey(s.gen, cid),
-			Value: encodeChunkEntry(payload, s.maps[cid]),
-		})
+	// grouped per replica node, one durability sync per node — then the
+	// projection rows the batch changed, then the manifest.
+	entries, err := s.chunkEntries(ctx, touched, payloads)
+	if err != nil {
+		return err
 	}
 	if err := s.kv.BatchPut(ctx, TableChunks, entries); err != nil {
 		return err
 	}
-	if err := s.proj.Save(ctx, s.kv); err != nil {
+	if err := edit.Save(ctx, s.kv); err != nil {
 		return err
 	}
 	// Commit point: the manifest must land BEFORE the write store drains.
@@ -138,27 +151,34 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	// stale projection rows that Load skips/prunes (the versions are still
 	// pending and re-flush); a crash after it leaves only stale delta
 	// entries that Load garbage-collects.
-	flushed := s.pending
-	s.pending = nil
-	s.pendingSet = make(map[types.VersionID]bool)
-	if err := s.saveManifest(ctx); err != nil {
+	if err := s.writeManifest(ctx, manifest{corpus: s.corpus, gen: s.gen, numChunks: numChunks}); err != nil {
 		return err
 	}
-	for _, v := range flushed {
-		if err := s.kv.Delete(ctx, TableDeltaStore, deltaKey(v)); err != nil {
-			return err
-		}
+
+	// Publish. Rewritten chunk entries must not be served from cache.
+	flushed := s.pending
+	s.mu.Lock()
+	for rec, loc := range placed {
+		s.locs[rec] = loc
 	}
-	// Rewritten chunk entries must not be served from cache.
+	edit.Apply()
+	s.numChunks = numChunks
+	s.pending = nil
+	s.pendingSet = make(map[types.VersionID]bool)
 	for cid := range touched {
 		s.cache.invalidate(cid)
+	}
+	s.mu.Unlock()
+
+	if err := s.drainDeltas(ctx, flushed); err != nil {
+		return err
 	}
 
 	// Periodic full repartitioning (§4's pragmatic combination).
 	s.batchesSinceRepartition++
 	if s.cfg.RepartitionEvery > 0 && s.batchesSinceRepartition >= s.cfg.RepartitionEvery {
 		s.batchesSinceRepartition = 0
-		return s.materializeLocked(ctx)
+		return s.materialize(ctx, s.corpus, nil)
 	}
 	return nil
 }
@@ -222,21 +242,22 @@ func filterMapIDs(ids []uint32, itemIdx map[uint32]uint32) []uint32 {
 }
 
 // extendMaps computes version v's slot bitmaps across chunks from its
-// parent's, applies v's delta, installs them in the in-memory chunk maps,
-// and returns v's chunk span (sorted). Chunks whose maps change are added to
-// touched.
-func (s *Store) extendMaps(v types.VersionID, touched map[chunk.ID]bool) ([]chunk.ID, error) {
+// parent's (as edit sees the parent's span, so a parent in the same batch
+// counts), applies v's delta at the record locations locOf reports,
+// installs them in the in-memory chunk maps, and returns v's chunk span
+// (sorted). Chunks whose maps change are added to touched.
+func (s *Store) extendMaps(v types.VersionID, edit *index.Edit, locOf func(uint32) chunk.Loc, touched map[chunk.ID]bool) ([]chunk.ID, error) {
 	perChunk := make(map[chunk.ID]*bitset.BitSet)
 	parent := s.graph.Parent(v)
 	if parent != types.InvalidVersion {
-		for _, cid := range s.proj.VersionChunks(parent) {
+		for _, cid := range edit.VersionChunks(parent) {
 			if bm := s.maps[cid].SlotsOf(parent); bm != nil {
 				perChunk[cid] = bm.Clone()
 			}
 		}
 	}
 	for _, rec := range s.corpus.Dels(v) {
-		loc := s.locs[rec]
+		loc := locOf(rec)
 		if loc.Chunk == chunk.NoChunk {
 			return nil, fmt.Errorf("rstore: flush: deleted record %d unplaced", rec)
 		}
@@ -245,7 +266,7 @@ func (s *Store) extendMaps(v types.VersionID, touched map[chunk.ID]bool) ([]chun
 		}
 	}
 	for _, rec := range s.corpus.Adds(v) {
-		loc := s.locs[rec]
+		loc := locOf(rec)
 		if loc.Chunk == chunk.NoChunk {
 			return nil, fmt.Errorf("rstore: flush: added record %d unplaced", rec)
 		}
@@ -281,29 +302,43 @@ func encodeChunkPayload(items []chunk.Item) []byte {
 	return buf
 }
 
-// chunkPayloadCache stages freshly built payloads until the batch write; the
-// engine otherwise keeps chunk payloads only in the KVS.
-func (s *Store) chunkPayloadCache(cid chunk.ID, payload []byte) {
-	if s.stagedPayloads == nil {
-		s.stagedPayloads = make(map[chunk.ID][]byte)
+// chunkEntries encodes the entry of every touched chunk with its extended
+// map. Payloads built by this flush come from built; the payloads of old
+// chunks whose maps changed are read back in Config.QueryFetchBatch-sized
+// MultiGets — batched to save round trips, but not all at once, because a
+// single frame the size of the whole rewrite would size the retained wire
+// buffers to it.
+func (s *Store) chunkEntries(ctx context.Context, touched map[chunk.ID]bool, built map[chunk.ID][]byte) ([]kvstore.Entry, error) {
+	entries := make([]kvstore.Entry, 0, len(touched))
+	var old []chunk.ID
+	for cid := range touched {
+		if payload, ok := built[cid]; ok {
+			entries = append(entries, kvstore.Entry{Key: chunk.KVKey(s.gen, cid), Value: encodeChunkEntry(payload, s.maps[cid])})
+		} else {
+			old = append(old, cid)
+		}
 	}
-	s.stagedPayloads[cid] = payload
-}
-
-// payloadOf returns a chunk's payload: staged (new this batch) or fetched
-// from the KVS (old chunk whose map is being rewritten).
-func (s *Store) payloadOf(ctx context.Context, cid chunk.ID) ([]byte, error) {
-	if p, ok := s.stagedPayloads[cid]; ok {
-		delete(s.stagedPayloads, cid)
-		return p, nil
+	sort.Slice(old, func(i, j int) bool { return old[i] < old[j] })
+	for start := 0; start < len(old); start += s.cfg.QueryFetchBatch {
+		group := old[start:min(start+s.cfg.QueryFetchBatch, len(old))]
+		keys := make([]string, len(group))
+		for i, cid := range group {
+			keys[i] = chunk.KVKey(s.gen, cid)
+		}
+		res, err := s.kv.MultiGet(ctx, TableChunks, keys)
+		if err != nil {
+			return nil, fmt.Errorf("rstore: flush: chunk payloads: %w", err)
+		}
+		if len(res.Missing) > 0 {
+			return nil, fmt.Errorf("rstore: flush: chunk %d payload: %w", group[res.Missing[0]], types.ErrNotFound)
+		}
+		for i, val := range res.Values {
+			payload, _, err := codec.Bytes(val)
+			if err != nil {
+				return nil, fmt.Errorf("rstore: flush: chunk %d payload: %w", group[i], err)
+			}
+			entries = append(entries, kvstore.Entry{Key: keys[i], Value: encodeChunkEntry(payload, s.maps[group[i]])})
+		}
 	}
-	entry, err := s.kv.Get(ctx, TableChunks, chunk.KVKey(s.gen, cid))
-	if err != nil {
-		return nil, fmt.Errorf("rstore: flush: chunk %d payload: %w", cid, err)
-	}
-	payload, _, err := decodeChunkEntry(entry)
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
+	return entries, nil
 }

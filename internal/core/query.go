@@ -46,8 +46,11 @@ func (r Range) contains(k types.Key) bool {
 // as the final pair's second value.
 //
 // The cursor holds the store's read lock while being iterated, so a
-// consumer that stalls between records delays concurrent commits; drain
-// promptly or use the ...All convenience wrappers.
+// consumer that stalls between records delays the publish step of
+// concurrent commits, flushes and repartitions — their KVS writes proceed,
+// only installing the result waits — and, while a publish waits, every
+// query that starts after it; drain promptly or use the ...All convenience
+// wrappers.
 type Cursor struct {
 	stats       QueryStats
 	run         func(c *Cursor, yield func(types.Record, error) bool)

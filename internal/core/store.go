@@ -16,18 +16,32 @@ import (
 )
 
 // Store is the RStore engine instance.
+//
+// Concurrency: queries take mu's read side. Mutators — commits, Flush,
+// Materialize, BulkLoad, SetBranch, Checkpoint and Close — serialize on
+// writeMu, do their planning and all of their KVS I/O under it alone, and
+// take mu exclusively only to publish the result in one short critical
+// section. A query therefore sees either the state before a mutation or
+// the state after it, and never waits on partitioning, fsyncs or chunk
+// rewrites. Fields marked writer-only are read and written under writeMu
+// alone (queries never touch them); every other field is written under
+// both locks, so a mutator may read it holding writeMu alone.
 type Store struct {
-	mu  sync.RWMutex
-	cfg Config
-	kv  *kvstore.Store
+	writeMu sync.Mutex
+	mu      sync.RWMutex
+	cfg     Config
+	kv      *kvstore.Store
 
 	graph  *vgraph.Graph
 	corpus *corpus.Corpus
 	proj   *index.Projections
 
 	// Physical placement state.
-	locs      []chunk.Loc  // record id → chunk/slot (NoChunk while pending)
-	maps      []*chunk.Map // in-memory chunk maps, index = chunk id
+	locs []chunk.Loc // record id → chunk/slot (NoChunk while pending)
+	// maps holds the in-memory chunk maps, index = chunk id (writer-only:
+	// queries use the map stored in each fetched chunk entry, so a flush
+	// extends these in place).
+	maps      []*chunk.Map
 	numChunks uint32
 	// gen is the placement generation chunk KVS keys are prefixed with.
 	// The online path appends chunks within the current generation; a full
@@ -41,25 +55,22 @@ type Store struct {
 	pending    []types.VersionID
 	pendingSet map[types.VersionID]bool
 
-	// stagedPayloads holds chunk payloads built by the current flush until
-	// they are written.
-	stagedPayloads map[chunk.ID][]byte
-
 	// batchesSinceRepartition counts online flushes toward
-	// Config.RepartitionEvery.
+	// Config.RepartitionEvery (writer-only).
 	batchesSinceRepartition int
 
 	// cache holds hot chunk entries (nil when disabled).
 	cache *chunkCache
 
-	// keyStates caches resolved key→record maps for recent commit parents.
+	// keyStates caches resolved key→record maps for recent commit parents
+	// (writer-only).
 	keyStates *keyStateCache
 
 	// sortedKeys supports range retrieval.
 	sortedKeys []types.Key
 
 	branches map[string]types.VersionID
-	closed   bool
+	closed   bool // writer-only
 
 	// ownsKV marks a private cluster created by withDefaults; Close closes
 	// it along with the store.
@@ -117,26 +128,28 @@ func (s *Store) PendingVersions() int {
 
 // Close flushes pending versions (writable stores only), marks the store
 // closed, and — when the store created its own private cluster — closes the
-// cluster's backends too. The final flush runs under the background
-// context: Close is a durability point, not a cancellable query. Closing
-// twice is a no-op.
+// cluster's backends too, once in-flight queries have finished. The final
+// flush runs under the background context: Close is a durability point,
+// not a cancellable query. Closing twice is a no-op.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if s.closed {
 		return nil
 	}
 	if !s.cfg.ReadOnly {
 		//lint:rstore-vet ctxfirst: Close is a durability point — the final flush must not inherit a cancelled request context
-		if err := s.flushLocked(context.Background()); err != nil {
+		if err := s.flush(context.Background()); err != nil {
 			return err
 		}
 	}
 	s.closed = true
-	if s.ownsKV {
-		return s.kv.Close()
+	if !s.ownsKV {
+		return nil
 	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.kv.Close()
 }
 
 // Commit ingests a new version derived from parent. For the first commit
@@ -154,8 +167,8 @@ func (s *Store) Commit(ctx context.Context, parent types.VersionID, ch Change) (
 // §2.5). Secondary parents record provenance and are not consulted for
 // contents.
 func (s *Store) CommitMerge(ctx context.Context, parents []types.VersionID, ch Change) (types.VersionID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.mutable(); err != nil {
 		return types.InvalidVersion, err
 	}
@@ -181,55 +194,74 @@ func (s *Store) CommitMerge(ctx context.Context, parents []types.VersionID, ch C
 	if err != nil {
 		return types.InvalidVersion, fmt.Errorf("rstore: commit: %w", err)
 	}
-
-	// Persist the delta BEFORE touching in-memory state: a commit that
-	// fails here — including a context cancelled mid-write — leaves no
-	// trace, whereas mutating the graph first would strand a version whose
-	// delta never became durable (the graph has no rollback, and the next
-	// flush would find the delta missing). The entry is self-describing
-	// (it carries its parents), so a crash after this write replays it on
-	// Load, honoring Commit's durability promise. This goes through the
-	// batch path — the one durable backends fsync before acknowledging.
-	if err := s.kv.BatchPut(ctx, TableDeltaStore, []kvstore.Entry{{Key: deltaKey(v), Value: encodeDeltaEntry(parents, delta)}}); err != nil {
+	if err := s.addVersion(ctx, v, parents, delta); err != nil {
 		return types.InvalidVersion, err
 	}
+	s.keyStates.put(v, state)
+	if err := s.flushIfBatchFull(ctx); err != nil {
+		return types.InvalidVersion, err
+	}
+	return v, nil
+}
 
+// addVersion makes a validated commit durable, then publishes it. Caller
+// holds writeMu.
+//
+// The delta is persisted BEFORE any in-memory state changes: a commit that
+// fails here — including a context cancelled mid-write — leaves no trace,
+// whereas mutating the graph first would strand a version whose delta never
+// became durable (the graph has no rollback, and the next flush would find
+// the delta missing). The entry is self-describing (it carries its
+// parents), so a crash after this write replays it on Load, honoring
+// Commit's durability promise. This goes through the batch path — the one
+// durable backends fsync before acknowledging — and holds no query off:
+// only the publish step below takes mu.
+func (s *Store) addVersion(ctx context.Context, v types.VersionID, parents []types.VersionID, delta *types.Delta) error {
+	if err := s.kv.BatchPut(ctx, TableDeltaStore, []kvstore.Entry{{Key: deltaKey(v), Value: encodeDeltaEntry(parents, delta)}}); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var got types.VersionID
+	var err error
 	if parents[0] == types.InvalidVersion {
 		got, err = s.graph.AddRoot()
 	} else {
 		got, err = s.graph.AddVersion(parents...)
 	}
 	if err != nil {
-		return types.InvalidVersion, err
+		return err
 	}
 	if got != v {
-		return types.InvalidVersion, fmt.Errorf("rstore: internal: version id drift (%d vs %d)", got, v)
+		return fmt.Errorf("rstore: internal: version id drift (%d vs %d)", got, v)
 	}
 	if err := s.corpus.AddVersionDelta(v, delta); err != nil {
-		// Unreachable for deltas derived above; a failure here means a
+		// Unreachable for validated deltas; a failure here means a
 		// corrupted store and must surface loudly.
-		return types.InvalidVersion, fmt.Errorf("rstore: internal: graph/corpus desync at version %d: %w", v, err)
+		return fmt.Errorf("rstore: internal: graph/corpus desync at version %d: %w", v, err)
 	}
-	s.keyStates.put(v, state)
 	s.noteNewKeys(delta)
 	for i := len(s.locs); i < s.corpus.NumRecords(); i++ {
 		s.locs = append(s.locs, chunk.Loc{Chunk: chunk.NoChunk})
 	}
 	s.pending = append(s.pending, v)
 	s.pendingSet[v] = true
+	return nil
+}
 
+// flushIfBatchFull runs the online flush once the pending versions fill a
+// batch (Config.BatchSize). Caller holds writeMu.
+//
+// The flush is detached from the caller's cancellation: the commit already
+// stands (its delta is durable), and an interrupted flush leaves the
+// in-memory placement ahead of the persisted state — a per-request ctx must
+// not be able to wedge the store as a side effect of the commit that
+// happened to close the batch.
+func (s *Store) flushIfBatchFull(ctx context.Context) error {
 	if s.cfg.BatchSize > 0 && len(s.pending) >= s.cfg.BatchSize {
-		// Detached from the caller's cancellation: the commit already
-		// stands (its delta is durable), and an interrupted flush leaves
-		// the in-memory placement ahead of the persisted state — a
-		// per-request ctx must not be able to wedge the store as a side
-		// effect of the commit that happened to close the batch.
-		if err := s.flushLocked(context.WithoutCancel(ctx)); err != nil {
-			return types.InvalidVersion, err
-		}
+		return s.flush(context.WithoutCancel(ctx))
 	}
-	return v, nil
+	return nil
 }
 
 // validParents enforces every graph.AddVersion precondition — existing,
@@ -333,19 +365,22 @@ func (s *Store) noteNewKeys(delta *types.Delta) {
 
 // SetBranch points a branch name at a version and persists the manifest.
 func (s *Store) SetBranch(ctx context.Context, name string, v types.VersionID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
 	if v != types.InvalidVersion && !s.graph.Valid(v) {
 		return &types.VersionUnknownError{Version: v}
 	}
+	s.mu.Lock()
 	s.branches[name] = v
+	s.mu.Unlock()
 	return s.saveManifest(ctx)
 }
 
-// mutable reports whether writes are currently allowed. Callers hold s.mu.
+// mutable reports whether writes are currently allowed. Callers hold
+// s.writeMu.
 func (s *Store) mutable() error {
 	if s.closed {
 		return types.ErrClosed

@@ -40,20 +40,20 @@ func New() *Projections {
 // implements chunk.MembershipObserver so the projection fills during chunk
 // map construction. Duplicate observations are tolerated.
 func (p *Projections) ObserveVersionChunk(v types.VersionID, c chunk.ID) {
-	l := p.versionChunks[v]
-	if n := len(l); n > 0 && l[n-1] == c {
-		return
-	}
-	p.versionChunks[v] = append(l, c)
+	p.versionChunks[v] = appendChunk(p.versionChunks[v], c)
 }
 
 // AddKeyChunk records that primary key k has records in chunk c.
 func (p *Projections) AddKeyChunk(k types.Key, c chunk.ID) {
-	l := p.keyChunks[k]
+	p.keyChunks[k] = appendChunk(p.keyChunks[k], c)
+}
+
+// appendChunk appends c to l unless it repeats l's last id.
+func appendChunk(l []chunk.ID, c chunk.ID) []chunk.ID {
 	if n := len(l); n > 0 && l[n-1] == c {
-		return
+		return l
 	}
-	p.keyChunks[k] = append(l, c)
+	return append(l, c)
 }
 
 // Normalize sorts and deduplicates every adjacency list. Call once after
@@ -186,6 +186,74 @@ func (p *Projections) Save(ctx context.Context, kv *kvstore.Store) error {
 		})
 	}
 	return kv.BatchPut(ctx, TableKeyIndex, kEntries)
+}
+
+// Edit is a copy-on-write change set over a Projections. The online flush
+// stages its projection changes in one while queries keep reading the
+// base, persists them with Save, and installs them with Apply in one short
+// critical section. An edit holds private copies of only the lists it
+// touches — copied on first touch, never written in place — so the base a
+// concurrent reader sees is never half-built.
+type Edit struct {
+	base *Projections
+	own  *Projections // the edit's private copies of the touched lists
+}
+
+// Edit starts an edit of p. p must not change until the edit is applied
+// or dropped.
+func (p *Projections) Edit() *Edit {
+	return &Edit{base: p, own: New()}
+}
+
+// VersionChunks returns version v's chunks as the edit sees them: its own
+// list if it touched v, the base's otherwise. The slice is shared; callers
+// must not mutate.
+func (e *Edit) VersionChunks(v types.VersionID) []chunk.ID {
+	if l, ok := e.own.versionChunks[v]; ok {
+		return l
+	}
+	return e.base.versionChunks[v]
+}
+
+// ObserveVersionChunk is Projections.ObserveVersionChunk on the edit.
+func (e *Edit) ObserveVersionChunk(v types.VersionID, c chunk.ID) {
+	l, ok := e.own.versionChunks[v]
+	if !ok {
+		l = cloneList(e.base.versionChunks[v])
+	}
+	e.own.versionChunks[v] = appendChunk(l, c)
+}
+
+// AddKeyChunk is Projections.AddKeyChunk on the edit.
+func (e *Edit) AddKeyChunk(k types.Key, c chunk.ID) {
+	l, ok := e.own.keyChunks[k]
+	if !ok {
+		l = cloneList(e.base.keyChunks[k])
+	}
+	e.own.keyChunks[k] = appendChunk(l, c)
+}
+
+// cloneList copies l into a fresh array with room for one more id.
+func cloneList(l []chunk.ID) []chunk.ID {
+	return append(make([]chunk.ID, 0, len(l)+1), l...)
+}
+
+// Normalize sorts and deduplicates the edit's own lists.
+func (e *Edit) Normalize() { e.own.Normalize() }
+
+// Save persists only the rows the edit touched; the others are already
+// persisted as they stand.
+func (e *Edit) Save(ctx context.Context, kv *kvstore.Store) error { return e.own.Save(ctx, kv) }
+
+// Apply installs the edit's lists into the base. The caller excludes the
+// base's readers for its duration.
+func (e *Edit) Apply() {
+	for v, l := range e.own.versionChunks {
+		e.base.versionChunks[v] = l
+	}
+	for k, l := range e.own.keyChunks {
+		e.base.keyChunks[k] = l
+	}
 }
 
 // EntryKeys returns the KVS keys Save writes for each projection table, so

@@ -156,6 +156,12 @@ func TestClusterOnDisklog(t *testing.T) {
 	if err := s.Delete(context.Background(), "t", "k007"); err != nil {
 		t.Fatal(err)
 	}
+	// Every replica acknowledged the delete, so a repair worker collects
+	// the tombstone in the background; read the size once it is gone, or
+	// the collection can land between this read and Close.
+	waitFor(t, "k007's tombstone collected", func() bool {
+		return s.Stats(context.Background()).TombstonesGCed == 1
+	})
 	stored := s.Stats(context.Background()).BytesStored
 	if stored <= 0 {
 		t.Fatalf("BytesStored = %d", stored)

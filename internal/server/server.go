@@ -240,9 +240,9 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // streamWriteTimeout bounds how long one NDJSON line may stall on a slow
 // reader. The cursor holds the store's read lock while streaming, so a
 // peer that accepts the response one byte a minute would otherwise pin
-// the lock (blocking commits, and behind them every new query)
-// indefinitely. Refreshed per line: a progressing stream may legitimately
-// run long, a stalled one may not.
+// the lock (blocking the publish step of commits, and behind it every
+// new query) indefinitely. Refreshed per line: a progressing stream may
+// legitimately run long, a stalled one may not.
 const streamWriteTimeout = 60 * time.Second
 
 // streamRecords drives a query cursor onto the wire as NDJSON. An error
