@@ -7,19 +7,16 @@
 //   - memory (default): state persists in a single snapshot file (default
 //     .rstore) via the cluster's Dump/Restore; every mutating command
 //     rewrites it.
-//   - disklog: state lives in the log-structured data directory (-data,
-//     default <store>.d); every command reopens the cluster by replaying
-//     the segment files, and mutations are fsynced per batch.
 //   - lsm: state lives in an LSM-tree data directory (-data, default
-//     <store>.d) — WAL + sorted tables; same durability as disklog,
-//     faster point reads.
+//     <store>.d) — WAL + sorted tables; every command reopens the cluster
+//     by replaying the WAL, and mutations are fsynced per batch.
 //   - remote: state lives on rstore-node daemons (-node-addrs, one node
 //     per address); every command talks to them over the wire.
 //
 // Usage:
 //
 //	rstore -store data.rstore init
-//	rstore -backend disklog -data data.d init
+//	rstore -backend lsm -data data.d init
 //	rstore -backend remote -node-addrs host1:7420,host2:7420 init
 //	rstore -backend remote -rf 2 -node-addrs host1:7420,host2:7420 init
 //	rstore commit -branch main -put doc1=@file.json -put doc2='{"x":1}' -del doc3
@@ -58,8 +55,8 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	global := flag.NewFlagSet("rstore", flag.ContinueOnError)
 	storePath := global.String("store", ".rstore", "snapshot file (memory backend)")
-	backend := global.String("backend", "memory", "storage backend: memory|disklog|lsm|remote")
-	dataDir := global.String("data", "", "data directory for -backend disklog/lsm (default <store>.d)")
+	backend := global.String("backend", "memory", "storage backend: memory|lsm|remote")
+	dataDir := global.String("data", "", "data directory for -backend lsm (default <store>.d)")
 	nodeAddrs := global.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote")
 	rf := global.Int("rf", 1, "replication factor (-backend remote; repair keeps replicas converged).\nPass the SAME value on every command against a cluster: it is per-invocation\nclient config, and a lower value silently under-replicates new writes")
 	tombTTL := global.Duration("tombstone-ttl", 0, "collect tombstones older than this once all replicas agree (0 = ack-based GC only)")
@@ -72,13 +69,13 @@ func run(ctx context.Context, args []string) error {
 		repair: rstore.RepairOptions{TombstoneTTL: *tombTTL},
 	}
 	switch env.backend {
-	case rstore.EngineMemory, rstore.EngineDisklog, rstore.EngineLSM:
+	case rstore.EngineMemory, rstore.EngineLSM:
 	case rstore.EngineRemote:
 		if len(env.addrs) == 0 {
 			return fmt.Errorf("-backend remote needs -node-addrs host:port[,host:port...]")
 		}
 	default:
-		return fmt.Errorf("unknown -backend %q (want memory, disklog, lsm, or remote)", env.backend)
+		return fmt.Errorf("unknown -backend %q (want memory, lsm, or remote)", env.backend)
 	}
 	if env.data == "" {
 		env.data = env.store + ".d"
@@ -94,7 +91,7 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		// Idempotent with persist's close; releases the disklog directory
+		// Idempotent with persist's close; releases the data directory
 		// lock on every error path too.
 		defer kv.Close()
 		if env.durable() {
@@ -134,7 +131,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	defer kv.Close() // no-op for memory; syncs and releases disklog files
+	defer kv.Close() // no-op for memory; syncs and releases lsm files
 
 	switch cmd {
 	case "commit":
@@ -331,8 +328,8 @@ func sanitize(key string) string {
 // cliEnv is the persistence environment the global flags select.
 type cliEnv struct {
 	store   string   // snapshot file (memory backend)
-	backend string   // "memory", "disklog", "lsm", or "remote"
-	data    string   // disklog/lsm data directory
+	backend string   // "memory", "lsm", or "remote"
+	data    string   // lsm data directory
 	addrs   []string // rstore-node addresses (remote backend)
 	rf      int      // replication factor (remote backend)
 	repair  rstore.RepairOptions
@@ -343,9 +340,7 @@ type cliEnv struct {
 func (e cliEnv) durable() bool { return e.backend != rstore.EngineMemory }
 
 // onDisk reports that store state lives in a local data directory.
-func (e cliEnv) onDisk() bool {
-	return e.backend == rstore.EngineDisklog || e.backend == rstore.EngineLSM
-}
+func (e cliEnv) onDisk() bool { return e.backend == rstore.EngineLSM }
 
 // where names the place the store lives, for messages.
 func (e cliEnv) where() string {
@@ -373,8 +368,7 @@ func (e cliEnv) openCluster(ctx context.Context) (*kvstore.Store, error) {
 }
 
 // load reopens the persisted store: from the snapshot file (memory), by
-// replaying the data directory's segment files (disklog), or from the
-// remote nodes' contents.
+// replaying the data directory (lsm), or from the remote nodes' contents.
 func (e cliEnv) load(ctx context.Context) (*kvstore.Store, *rstore.Store, error) {
 	if e.durable() {
 		if e.onDisk() {
@@ -413,7 +407,7 @@ func (e cliEnv) load(ctx context.Context) (*kvstore.Store, *rstore.Store, error)
 }
 
 // persist makes the store durable: flush pending versions, then rewrite the
-// snapshot file (memory) or release the backend (disklog/remote — the flush
+// snapshot file (memory) or release the backend (lsm/remote — the flush
 // itself committed every write durably; Close catches strays).
 func (e cliEnv) persist(kv *kvstore.Store, st *rstore.Store) error {
 	ctx := context.Background() // durability point: never cancellable

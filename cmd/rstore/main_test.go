@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rstore/internal/engine/lsm"
 )
 
 // runCLI drives the command with a store file in a temp dir.
@@ -74,17 +76,30 @@ func TestCLILifecycle(t *testing.T) {
 	}
 }
 
-// runDiskCLI drives the command in disklog mode against a data directory.
+// runDiskCLI drives the command on the lsm backend against a data
+// directory, then proves the command released the directory lock whatever
+// its outcome: the node's directory must open for the next process.
 func runDiskCLI(t *testing.T, data string, args ...string) error {
 	t.Helper()
-	return run(context.Background(), append([]string{"-backend", "disklog", "-data", data}, args...))
+	err := run(context.Background(), append([]string{"-backend", "lsm", "-data", data}, args...))
+	node := filepath.Join(data, "node-0")
+	if _, serr := os.Stat(node); serr == nil {
+		be, lerr := lsm.Open(node, lsm.Options{})
+		if lerr != nil {
+			t.Fatalf("%v left %s locked: %v", args, node, lerr)
+		}
+		if cerr := be.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+	}
+	return err
 }
 
-// TestCLIDisklogLifecycle is the acceptance path: a store committed through
-// the CLI on the disklog backend is closed at the end of every command and
-// reopened (segment replay) by the next one, and must return identical
-// results throughout.
-func TestCLIDisklogLifecycle(t *testing.T) {
+// TestCLILSMLifecycle is the acceptance path: a store committed through
+// the CLI on the lsm backend is closed at the end of every command —
+// releasing the directory lock — and reopened (WAL replay) by the next
+// one, and must return identical results throughout.
+func TestCLILSMLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "store.d")
 

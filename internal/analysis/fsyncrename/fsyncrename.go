@@ -1,19 +1,18 @@
-// Package fsyncrename enforces the commit discipline of the storage
-// engines (docs/FORMATS.md): an os.Rename that publishes durable state —
-// sealing a compacted segment, installing an SSTable, committing a
-// manifest — must be preceded, in the same function, by an fsync of the
-// file being renamed (directly via (*os.File).Sync or through a
-// package-local helper that transitively syncs, like sstWriter.finish),
-// and must be followed by a directory fsync (syncDir or a helper reaching
-// it) so the new directory entry itself is durable. Rename-before-sync is
-// the torn-header bug class: after a crash the name points at data the
-// disk never promised to keep.
+// Package fsyncrename enforces the commit discipline of the storage engines
+// (docs/FORMATS.md): an os.Rename that publishes durable state — installing
+// a flushed or merged SSTable, committing a manifest — must be preceded, in
+// the same function, by an fsync of the file being renamed (directly via
+// (*os.File).Sync or through a package-local helper that transitively
+// syncs, like sstWriter.finish), and must be followed by a directory fsync
+// (syncDir or a helper reaching it) so the new directory entry itself is
+// durable. Rename-before-sync is the torn-header bug class: after a crash
+// the name points at data the disk never promised to keep.
 //
 // The analysis is intraprocedural over statement order with a
 // package-local call-graph closure (rvet/callgraph) for the sync sets — it
 // proves presence on the straight-line reading, not all-paths correctness.
-// Functions that rename files synced by an earlier phase (crash-recovery
-// replay, commit helpers fed a sealed temp file) carry a reasoned escape.
+// Functions that rename files synced by an earlier phase (commit helpers
+// fed a sealed temp file, like lsm's merge commit) carry a reasoned escape.
 package fsyncrename
 
 import (

@@ -18,11 +18,6 @@ type Edge struct {
 // blocks on From's holders — justify it in Reason.
 var Table = []Edge{
 	{
-		From:   "rstore/internal/engine/disklog.Backend.compactMu",
-		To:     "rstore/internal/engine/disklog.Backend.mu",
-		Reason: "compaction serializes on compactMu for its whole run and takes mu only for short index/segment swaps; mu holders never touch compactMu",
-	},
-	{
 		From:   "rstore/internal/engine/lsm.Backend.compactMu",
 		To:     "rstore/internal/engine/lsm.Backend.mu",
 		Reason: "flush/merge serialize on compactMu and take mu only to install results; mu holders only TryLock compactMu (maybeTierCompactLocked), which cannot block",

@@ -8,21 +8,19 @@ import (
 	"time"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/kvstore"
 )
 
 // RunAntiEntropy measures the Merkle-tree anti-entropy extension: what a
 // clean background sweep costs (bytes hashed per rotation when nothing
-// diverged — the steady-state tax), and how fast the loop finds and
-// repairs a 1%-diverged replica whose damage was injected behind the
-// store's back (no hints parked, read repair off, zero client reads).
-// Head-to-head disklog vs lsm because the engines differ exactly where
-// anti-entropy hurts: disklog re-sweeps the table for every digest, while
-// the lsm engine's generation-keyed memo answers an unchanged table's
-// digest without touching data. Always in-process — divergence injection
-// needs the backend handles — so the substrate override is ignored.
+// diverged — the steady-state tax), and how fast the loop finds and repairs
+// a 1%-diverged replica whose damage was injected behind the store's back
+// (no hints parked, read repair off, zero client reads). It runs on the lsm
+// engine, whose generation-keyed memo answers an unchanged table's digest
+// without touching data, at two corpus sizes so the clean-sweep cost's
+// scaling shows. Always in-process — divergence injection needs the backend
+// handles — so the substrate override is ignored.
 func RunAntiEntropy(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	baseKeys := scaled(4000, opts.RecordFrac, 64)
@@ -43,28 +41,16 @@ func RunAntiEntropy(opts Options) ([]*Table, error) {
 		Metrics:   map[string]float64{},
 	}
 
-	engines := []struct {
-		name string
-		open func(string) (engine.Backend, error)
-	}{
-		{"disklog", func(d string) (engine.Backend, error) {
-			return disklog.Open(d, disklog.Options{SegmentBytes: 256 << 10})
-		}},
-		{"lsm", func(d string) (engine.Backend, error) {
-			return lsm.Open(d, lsm.Options{MemtableBytes: 256 << 10})
-		}},
-	}
-	for _, eng := range engines {
-		for _, nKeys := range []int{baseKeys, 4 * baseKeys} {
-			if err := runAntiEntropyOn(ctx, t, dir, eng.name, eng.open, nKeys, valSize); err != nil {
-				return nil, fmt.Errorf("bench antientropy: %s/%d: %w", eng.name, nKeys, err)
-			}
+	for _, nKeys := range []int{baseKeys, 4 * baseKeys} {
+		if err := runAntiEntropyOn(ctx, t, dir, nKeys, valSize); err != nil {
+			return nil, fmt.Errorf("bench antientropy: lsm/%d: %w", nKeys, err)
 		}
 	}
 	return []*Table{t}, nil
 }
 
-func runAntiEntropyOn(ctx context.Context, t *Table, dir, name string, open func(string) (engine.Backend, error), nKeys, valSize int) error {
+func runAntiEntropyOn(ctx context.Context, t *Table, dir string, nKeys, valSize int) error {
+	const name = "lsm"
 	backends := make([]engine.Backend, 3)
 	kv, err := kvstore.Open(ctx, kvstore.Config{
 		Nodes: 3, ReplicationFactor: 3,
@@ -74,9 +60,12 @@ func runAntiEntropyOn(ctx context.Context, t *Table, dir, name string, open func
 			DisableHints:        true,
 		},
 		NewBackend: func(id int) (engine.Backend, error) {
-			be, err := open(filepath.Join(dir, fmt.Sprintf("%s-%d-%d", name, nKeys, id)))
+			be, err := lsm.Open(filepath.Join(dir, fmt.Sprintf("%s-%d-%d", name, nKeys, id)), lsm.Options{MemtableBytes: 256 << 10})
+			if err != nil {
+				return nil, err
+			}
 			backends[id] = be
-			return be, err
+			return be, nil
 		},
 	})
 	if err != nil {

@@ -39,17 +39,16 @@ type Options struct {
 
 	// Engine overrides the storage backend every experiment cluster runs
 	// on: kvstore.EngineMemory (the default — allocation-exact, what the
-	// calibrated cost model assumes), kvstore.EngineDisklog or
-	// kvstore.EngineLSM (each cluster gets a fresh subdirectory of
-	// DataDir), or kvstore.EngineRemote (the cluster runs on the
-	// rstore-node daemons in NodeAddrs — the address list fixes the node
-	// count, overriding each experiment's nominal topology). Every cluster
-	// a run opens wipes the daemons first through the wire protocol's
-	// reset op, so one running daemon set serves a whole run and each
-	// cluster still starts clean.
+	// calibrated cost model assumes), kvstore.EngineLSM (each cluster gets
+	// a fresh subdirectory of DataDir), or kvstore.EngineRemote (the
+	// cluster runs on the rstore-node daemons in NodeAddrs — the address
+	// list fixes the node count, overriding each experiment's nominal
+	// topology). Every cluster a run opens wipes the daemons first through
+	// the wire protocol's reset op, so one running daemon set serves a
+	// whole run and each cluster still starts clean.
 	Engine string
 	// DataDir hosts per-cluster data directories when Engine is
-	// kvstore.EngineDisklog or kvstore.EngineLSM.
+	// kvstore.EngineLSM.
 	DataDir string
 	// NodeAddrs lists rstore-node addresses when Engine is
 	// kvstore.EngineRemote.
@@ -57,7 +56,7 @@ type Options struct {
 }
 
 // clusterSeq hands each disk-backed experiment cluster a fresh directory:
-// disklog directories are single-cluster (LOCK, GEOMETRY pinning).
+// lsm directories are single-cluster (LOCK, GEOMETRY pinning).
 var clusterSeq atomic.Int64
 
 // substrate resolves the engine override into (engine, data directory,
@@ -70,7 +69,7 @@ func (o Options) substrate() (eng, dir string, addrs []string) {
 	case kvstore.EngineRemote:
 		return kvstore.EngineRemote, "", o.NodeAddrs
 	default:
-		// Disklog and any future disk-backed engine: fresh directory per
+		// lsm and any future disk-backed engine: fresh directory per
 		// cluster.
 		return o.Engine, filepath.Join(o.DataDir, fmt.Sprintf("cluster-%03d", clusterSeq.Add(1))), nil
 	}
@@ -255,10 +254,10 @@ func Experiments() []Experiment {
 		{"ablation-replication", "extension: replication + read balancing (paper future work)", RunAblationReplication},
 		{"ablation-cache", "extension: application-server chunk cache on hot versions", RunAblationCache},
 		{"repair", "extension: replication repair — hinted handoff + read repair convergence\n(always in-process: needs failure injection)", RunRepair},
-		{"compact", "extension: disklog segment compaction — disk bytes before/after an\noverwrite-heavy workload (always on a private disklog cluster)", RunCompact},
-		{"readheavy", "extension: read-heavy zipfian point gets — disklog vs lsm engines\nhead-to-head with p50/p95/p99, plus batched vs per-key MultiGet on an\nrf=3 remote cluster (always on private engines/daemons)", RunReadHeavy},
-		{"mixed", "extension: YCSB-style zipfian read/write mix (-read-ratio) — disklog vs\nlsm with per-class p50/p95/p99 (always on private engine directories)", RunMixed},
-		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica, disklog vs lsm (always in-process:\ndivergence injection needs the backend handles)", RunAntiEntropy},
+		{"compact", "extension: lsm compaction — disk bytes before/after an overwrite-heavy\nworkload (always on a private lsm cluster)", RunCompact},
+		{"readheavy", "extension: read-heavy zipfian point gets on the lsm engine with\np50/p95/p99, plus batched MultiGet on an rf=3 remote cluster (always on\nprivate engines/daemons)", RunReadHeavy},
+		{"mixed", "extension: YCSB-style zipfian read/write mix (-read-ratio) on the lsm\nengine with per-class p50/p95/p99 (always on a private engine directory)", RunMixed},
+		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica on lsm (always in-process: divergence\ninjection needs the backend handles)", RunAntiEntropy},
 	}
 }
 

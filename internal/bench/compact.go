@@ -8,21 +8,21 @@ import (
 	"os"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
+	"rstore/internal/engine/lsm"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
 
-// RunCompact measures disklog segment compaction under the workload the
-// paper's multi-version premise implies: the same documents overwritten
-// version after version, leaving every superseded value as dead bytes in
-// the append-only segments. It reports on-disk volume and live ratio
+// RunCompact measures lsm compaction under the workload the paper's
+// multi-version premise implies: the same documents overwritten version
+// after version, leaving every superseded value as dead bytes in the
+// flushed SSTables. It reports on-disk volume and live ratio
 // before compaction, after Compact, and after a close/reopen (proving the
 // compacted layout replays), verifying along the way that every read
 // returns the same results pre- and post-compaction and that compaction
 // reclaimed at least half the disk volume. It always runs on a private
-// disklog cluster — compaction is a disklog feature — so the substrate
-// override is deliberately ignored.
+// lsm cluster with a small memtable, so the substrate override is
+// deliberately ignored.
 func RunCompact(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	nKeys := scaled(2000, opts.RecordFrac, 64)
@@ -36,10 +36,10 @@ func RunCompact(opts Options) ([]*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Small segments so the workload spans many of them: compaction's unit
-	// of work is the sealed segment.
+	// A small memtable so the workload flushes into many SSTables before
+	// the full merge runs.
 	newBackend := func(int) (engine.Backend, error) {
-		return disklog.Open(dir, disklog.Options{SegmentBytes: 128 << 10})
+		return lsm.Open(dir, lsm.Options{MemtableBytes: 4 << 10})
 	}
 	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, NewBackend: newBackend})
 	if err != nil {
@@ -54,7 +54,7 @@ func RunCompact(opts Options) ([]*Table, error) {
 
 	t := &Table{
 		ID:        "compact",
-		Title:     fmt.Sprintf("disklog compaction: %d keys x %d versions, 10%% deleted", nKeys, rounds+1),
+		Title:     fmt.Sprintf("lsm compaction: %d keys x %d versions, 10%% deleted", nKeys, rounds+1),
 		PaperNote: "extension beyond the paper: log-structured storage reclaim under the versioned-overwrite workload",
 		Headers:   []string{"phase", "disk", "live", "live ratio", "reclaimed"},
 	}

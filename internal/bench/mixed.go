@@ -6,23 +6,21 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 )
 
-// RunMixed is the YCSB-style companion to readheavy: the same two durable
-// engines (disklog and lsm on matched write buffers) under a zipfian
-// workload that interleaves point gets with overwrites at a configurable
-// read ratio (Options.ReadRatio, default 95% reads — YCSB B). Reads and
-// writes are timed in one stream, the way a serving tier actually sees
-// them, with separately sampled read and write latencies yielding
-// p50/p95/p99 per class. Like readheavy, the substrate override is
-// ignored: the head-to-head is the experiment.
+// RunMixed is the YCSB-style companion to readheavy: the lsm engine (same
+// write buffer as readheavy) under a zipfian workload that interleaves
+// point gets with overwrites at a configurable read ratio
+// (Options.ReadRatio, default 95% reads — YCSB B). Reads and writes are
+// timed in one stream, the way a serving tier actually sees them, with
+// separately sampled read and write latencies yielding p50/p95/p99 per
+// class. Like readheavy, the substrate override is ignored: the experiment
+// measures the engine's own serving path.
 func RunMixed(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	nKeys := scaled(250000, opts.RecordFrac, 500)
@@ -45,53 +43,35 @@ func RunMixed(opts Options) ([]*Table, error) {
 		Metrics:   map[string]float64{"read_ratio": ratio},
 	}
 
-	// Matched 256 KiB write buffers, as in readheavy.
-	engines := []struct {
-		name string
-		open func(string) (engine.Backend, error)
-	}{
-		{"disklog", func(d string) (engine.Backend, error) {
-			return disklog.Open(d, disklog.Options{SegmentBytes: 256 << 10})
-		}},
-		{"lsm", func(d string) (engine.Backend, error) {
-			return lsm.Open(d, lsm.Options{MemtableBytes: 256 << 10})
-		}},
+	be, err := lsm.Open(dir, lsm.Options{MemtableBytes: 256 << 10})
+	if err != nil {
+		return nil, fmt.Errorf("bench mixed: open lsm: %w", err)
 	}
-	opsPerSec := map[string]float64{}
-	for _, eng := range engines {
-		be, err := eng.open(filepath.Join(dir, eng.name))
-		if err != nil {
-			return nil, fmt.Errorf("bench mixed: open %s: %w", eng.name, err)
-		}
-		res, err := runMixedOn(ctx, be, nKeys, valSize, ops, ratio, opts.Seed)
-		if cerr := be.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bench mixed: %s: %w", eng.name, err)
-		}
-		opsPerSec[eng.name] = float64(ops) / res.run.Seconds()
-		rp50, rp95, rp99 := pctl(res.readLat, 0.50), pctl(res.readLat, 0.95), pctl(res.readLat, 0.99)
-		wp50, wp95, wp99 := pctl(res.writeLat, 0.50), pctl(res.writeLat, 0.95), pctl(res.writeLat, 0.99)
-		t.AddRow(eng.name, secs(res.load.Seconds()), fmt.Sprintf("%.0f", opsPerSec[eng.name]),
-			us(rp50), us(rp95), us(rp99), us(wp50), us(wp95), us(wp99), mb(res.disk))
-		t.Metrics[eng.name+"_ops_per_sec"] = opsPerSec[eng.name]
-		t.Metrics[eng.name+"_read_p50_us"] = usF(rp50)
-		t.Metrics[eng.name+"_read_p95_us"] = usF(rp95)
-		t.Metrics[eng.name+"_read_p99_us"] = usF(rp99)
-		t.Metrics[eng.name+"_write_p50_us"] = usF(wp50)
-		t.Metrics[eng.name+"_write_p95_us"] = usF(wp95)
-		t.Metrics[eng.name+"_write_p99_us"] = usF(wp99)
-		t.Metrics[eng.name+"_load_sec"] = res.load.Seconds()
-		t.Metrics[eng.name+"_disk_bytes"] = float64(res.disk)
+	res, err := runMixedOn(ctx, be, nKeys, valSize, ops, ratio, opts.Seed)
+	if cerr := be.Close(); err == nil {
+		err = cerr
 	}
-	speedup := opsPerSec["lsm"] / opsPerSec["disklog"]
-	t.Metrics["lsm_mixed_speedup_vs_disklog"] = speedup
-	t.AddRow("lsm/disklog", "-", fmt.Sprintf("%.2fx", speedup), "-", "-", "-", "-", "-", "-", "-")
+	if err != nil {
+		return nil, fmt.Errorf("bench mixed: lsm: %w", err)
+	}
+	opsPerSec := float64(ops) / res.run.Seconds()
+	rp50, rp95, rp99 := pctl(res.readLat, 0.50), pctl(res.readLat, 0.95), pctl(res.readLat, 0.99)
+	wp50, wp95, wp99 := pctl(res.writeLat, 0.50), pctl(res.writeLat, 0.95), pctl(res.writeLat, 0.99)
+	t.AddRow("lsm", secs(res.load.Seconds()), fmt.Sprintf("%.0f", opsPerSec),
+		us(rp50), us(rp95), us(rp99), us(wp50), us(wp95), us(wp99), mb(res.disk))
+	t.Metrics["lsm_ops_per_sec"] = opsPerSec
+	t.Metrics["lsm_read_p50_us"] = usF(rp50)
+	t.Metrics["lsm_read_p95_us"] = usF(rp95)
+	t.Metrics["lsm_read_p99_us"] = usF(rp99)
+	t.Metrics["lsm_write_p50_us"] = usF(wp50)
+	t.Metrics["lsm_write_p95_us"] = usF(wp95)
+	t.Metrics["lsm_write_p99_us"] = usF(wp99)
+	t.Metrics["lsm_load_sec"] = res.load.Seconds()
+	t.Metrics["lsm_disk_bytes"] = float64(res.disk)
 	return []*Table{t}, nil
 }
 
-// mixedResult is one engine's run of the mixed workload.
+// mixedResult is the engine's run of the mixed workload.
 type mixedResult struct {
 	load     time.Duration
 	run      time.Duration
@@ -100,8 +80,8 @@ type mixedResult struct {
 	disk     int64
 }
 
-// runMixedOn drives the workload against one backend. The RNG is reseeded
-// per backend so both engines see byte-identical key, access, and
+// runMixedOn drives the workload against one backend. The RNG is seeded
+// from seed, so every run sees byte-identical key, access, and
 // read/write-decision sequences.
 func runMixedOn(ctx context.Context, be engine.Backend, nKeys, valSize, ops int, ratio float64, seed int64) (mixedResult, error) {
 	var res mixedResult

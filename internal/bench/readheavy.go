@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote/engined"
@@ -20,14 +18,12 @@ import (
 
 // RunReadHeavy measures the workload the paper's premise implies for the
 // storage tier — many overlapping versions served under heavy, skewed read
-// traffic — as a head-to-head of the two durable engines: disklog (single
-// level, every Get is an index probe plus a random segment read) against
-// lsm (bloom-filtered sorted runs behind a block cache). Both engines run
-// the identical zipfian workload on private directories with matched
-// write-buffer sizes: bulk load, one overwrite pass to create dead
-// versions, an explicit compaction to steady state, then a timed point-get
-// phase whose sampled read latencies yield p50/p95/p99. The substrate override
-// is deliberately ignored — the comparison IS the experiment.
+// traffic — on the lsm engine (bloom-filtered sorted runs behind a block
+// cache) in a private directory: bulk load, one zipfian overwrite pass to
+// create dead versions, an explicit compaction to steady state, then a
+// timed point-get phase whose sampled read latencies yield p50/p95/p99.
+// The substrate override is deliberately ignored: the experiment measures
+// the engine's own read path.
 func RunReadHeavy(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	nKeys := scaled(250000, opts.RecordFrac, 500)
@@ -49,47 +45,29 @@ func RunReadHeavy(opts Options) ([]*Table, error) {
 		Metrics:   map[string]float64{},
 	}
 
-	// Matched 256 KiB write buffers: disklog rotates segments and lsm
-	// flushes its memtable at the same volume, so both engines face a
-	// multi-file on-disk layout before their compaction runs.
-	engines := []struct {
-		name string
-		open func(string) (engine.Backend, error)
-	}{
-		{"disklog", func(d string) (engine.Backend, error) {
-			return disklog.Open(d, disklog.Options{SegmentBytes: 256 << 10})
-		}},
-		{"lsm", func(d string) (engine.Backend, error) {
-			return lsm.Open(d, lsm.Options{MemtableBytes: 256 << 10})
-		}},
+	// A 256 KiB memtable puts the load on a multi-table layout before the
+	// compaction runs.
+	be, err := lsm.Open(dir, lsm.Options{MemtableBytes: 256 << 10})
+	if err != nil {
+		return nil, fmt.Errorf("bench readheavy: open lsm: %w", err)
 	}
-	rps := map[string]float64{}
-	for _, eng := range engines {
-		be, err := eng.open(filepath.Join(dir, eng.name))
-		if err != nil {
-			return nil, fmt.Errorf("bench readheavy: open %s: %w", eng.name, err)
-		}
-		res, err := runReadHeavyOn(ctx, be, nKeys, valSize, reads, opts.Seed)
-		if cerr := be.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bench readheavy: %s: %w", eng.name, err)
-		}
-		rps[eng.name] = float64(reads) / res.read.Seconds()
-		p50, p95, p99 := pctl(res.lat, 0.50), pctl(res.lat, 0.95), pctl(res.lat, 0.99)
-		t.AddRow(eng.name, secs(res.load.Seconds()), fmt.Sprintf("%.0f", rps[eng.name]),
-			us(p50), us(p95), us(p99), mb(res.disk), mb(res.live))
-		t.Metrics[eng.name+"_reads_per_sec"] = rps[eng.name]
-		t.Metrics[eng.name+"_p50_us"] = usF(p50)
-		t.Metrics[eng.name+"_p95_us"] = usF(p95)
-		t.Metrics[eng.name+"_p99_us"] = usF(p99)
-		t.Metrics[eng.name+"_load_sec"] = res.load.Seconds()
-		t.Metrics[eng.name+"_disk_bytes"] = float64(res.disk)
+	res, err := runReadHeavyOn(ctx, be, nKeys, valSize, reads, opts.Seed)
+	if cerr := be.Close(); err == nil {
+		err = cerr
 	}
-	speedup := rps["lsm"] / rps["disklog"]
-	t.Metrics["lsm_read_speedup_vs_disklog"] = speedup
-	t.AddRow("lsm/disklog", "-", fmt.Sprintf("%.2fx", speedup), "-", "-", "-", "-", "-")
+	if err != nil {
+		return nil, fmt.Errorf("bench readheavy: lsm: %w", err)
+	}
+	rps := float64(reads) / res.read.Seconds()
+	p50, p95, p99 := pctl(res.lat, 0.50), pctl(res.lat, 0.95), pctl(res.lat, 0.99)
+	t.AddRow("lsm", secs(res.load.Seconds()), fmt.Sprintf("%.0f", rps),
+		us(p50), us(p95), us(p99), mb(res.disk), mb(res.live))
+	t.Metrics["lsm_reads_per_sec"] = rps
+	t.Metrics["lsm_p50_us"] = usF(p50)
+	t.Metrics["lsm_p95_us"] = usF(p95)
+	t.Metrics["lsm_p99_us"] = usF(p99)
+	t.Metrics["lsm_load_sec"] = res.load.Seconds()
+	t.Metrics["lsm_disk_bytes"] = float64(res.disk)
 
 	remoteTbl, err := runReadHeavyRemote(ctx, opts)
 	if err != nil {
@@ -98,13 +76,9 @@ func RunReadHeavy(opts Options) ([]*Table, error) {
 	return []*Table{t, remoteTbl}, nil
 }
 
-// runReadHeavyRemote measures the wire-level MultiGet batching win: an
-// rf=3 cluster of three in-process storage daemons behind real TCP
-// sockets, read zipfian in fixed-size batches through the batched path
-// (one OpMultiGet round trip per node per batch) and through the per-key
-// path (kvstore.Config.DisableReadBatching — one replicated point get per
-// key, the pre-batching behavior). Same daemons, same data, same access
-// sequence; only the read path differs.
+// runReadHeavyRemote measures wire-level MultiGet: an rf=3 cluster of
+// three in-process storage daemons behind real TCP sockets, read zipfian
+// in fixed-size batches (one OpMultiGet round trip per node per batch).
 func runReadHeavyRemote(ctx context.Context, opts Options) (*Table, error) {
 	nKeys := scaled(20000, opts.RecordFrac, 400)
 	valSize := scaled(1024, opts.SizeFrac, 64)
@@ -135,20 +109,14 @@ func runReadHeavyRemote(ctx context.Context, opts Options) (*Table, error) {
 		servers = append(servers, srv)
 		addrs[i] = srv.Addr().String()
 	}
-	open := func(perKey bool) (*kvstore.Store, error) {
-		return kvstore.Open(ctx, kvstore.Config{
-			Engine: kvstore.EngineRemote, NodeAddrs: addrs, ReplicationFactor: 3,
-			DisableReadBatching: perKey,
-		})
-	}
-
-	// Load once through the batched store; rf=3 on 3 nodes puts every key
-	// everywhere, so both read paths face identical replicas.
-	batched, err := open(false)
+	// rf=3 on 3 nodes puts every key on every replica.
+	s, err := kvstore.Open(ctx, kvstore.Config{
+		Engine: kvstore.EngineRemote, NodeAddrs: addrs, ReplicationFactor: 3,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer batched.Close()
+	defer s.Close()
 	key := func(i int) string { return fmt.Sprintf("doc-%06d", i) }
 	mkval := func(i int) []byte {
 		b := make([]byte, valSize)
@@ -159,14 +127,14 @@ func runReadHeavyRemote(ctx context.Context, opts Options) (*Table, error) {
 	for i := 0; i < nKeys; i++ {
 		ents = append(ents, kvstore.Entry{Key: key(i), Value: mkval(i)})
 		if len(ents) == cap(ents) || i == nKeys-1 {
-			if err := batched.BatchPut(ctx, "t", ents); err != nil {
+			if err := s.BatchPut(ctx, "t", ents); err != nil {
 				return nil, err
 			}
 			ents = ents[:0]
 		}
 	}
 
-	// Precomputed zipfian batches, shared by both paths.
+	// Precomputed zipfian batches, so the timed loop measures MultiGet.
 	rnd := rand.New(rand.NewSource(opts.Seed))
 	zipf := rand.NewZipf(rnd, 1.1, 1, uint64(nKeys-1))
 	keys := make([]string, nKeys)
@@ -181,70 +149,45 @@ func runReadHeavyRemote(ctx context.Context, opts Options) (*Table, error) {
 		}
 	}
 
-	run := func(s *kvstore.Store) (time.Duration, []time.Duration, error) {
-		for i := 0; i < 3; i++ { // warm-up: conns dialed, caches touched
-			if _, err := s.MultiGet(ctx, "t", access[i%len(access)]); err != nil {
-				return 0, nil, err
-			}
+	for i := 0; i < 3; i++ { // warm-up: conns dialed, caches touched
+		if _, err := s.MultiGet(ctx, "t", access[i%len(access)]); err != nil {
+			return nil, err
 		}
-		lat := make([]time.Duration, 0, nBatches)
-		start := time.Now()
-		for _, b := range access {
-			t0 := time.Now()
-			res, err := s.MultiGet(ctx, "t", b)
-			lat = append(lat, time.Since(t0))
-			if err != nil {
-				return 0, nil, err
-			}
-			if len(res.Missing) != 0 {
-				return 0, nil, fmt.Errorf("multiget missing %d keys", len(res.Missing))
-			}
-		}
-		elapsed := time.Since(start)
-		sortDurations(lat)
-		return elapsed, lat, nil
 	}
+	lat := make([]time.Duration, 0, nBatches)
+	start := time.Now()
+	for _, b := range access {
+		t0 := time.Now()
+		res, err := s.MultiGet(ctx, "t", b)
+		lat = append(lat, time.Since(t0))
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Missing) != 0 {
+			return nil, fmt.Errorf("multiget missing %d keys", len(res.Missing))
+		}
+	}
+	elapsed := time.Since(start)
+	sortDurations(lat)
 
 	t := &Table{
 		ID:        "readheavy-remote",
-		Title:     fmt.Sprintf("batched vs per-key MultiGet over TCP: rf=3 on 3 daemons, %d keys x %dB, %d batches x %d keys", nKeys, valSize, nBatches, batchSize),
-		PaperNote: "extension beyond the paper: one wire round trip per node per batch vs one replicated point get per key",
+		Title:     fmt.Sprintf("batched MultiGet over TCP: rf=3 on 3 daemons, %d keys x %dB, %d batches x %d keys", nKeys, valSize, nBatches, batchSize),
+		PaperNote: "extension beyond the paper: one wire round trip per node per batch",
 		Headers:   []string{"read path", "keys/s", "batch p50", "batch p95", "batch p99"},
 		Metrics:   map[string]float64{},
 	}
-	kps := map[string]float64{}
-	paths := []struct {
-		name   string
-		perKey bool
-	}{{"batched", false}, {"per-key", true}}
-	for _, p := range paths {
-		s := batched
-		if p.perKey {
-			if s, err = open(true); err != nil {
-				return nil, err
-			}
-			defer s.Close()
-		}
-		elapsed, lat, err := run(s)
-		if err != nil {
-			return nil, fmt.Errorf("%s path: %w", p.name, err)
-		}
-		kps[p.name] = float64(nBatches*batchSize) / elapsed.Seconds()
-		p50, p95, p99 := pctl(lat, 0.50), pctl(lat, 0.95), pctl(lat, 0.99)
-		t.AddRow(p.name, fmt.Sprintf("%.0f", kps[p.name]), us(p50), us(p95), us(p99))
-		prefix := "multiget_" + p.name
-		t.Metrics[prefix+"_keys_per_sec"] = kps[p.name]
-		t.Metrics[prefix+"_batch_p50_us"] = usF(p50)
-		t.Metrics[prefix+"_batch_p95_us"] = usF(p95)
-		t.Metrics[prefix+"_batch_p99_us"] = usF(p99)
-	}
-	speedup := kps["batched"] / kps["per-key"]
-	t.Metrics["multiget_batched_speedup_vs_perkey"] = speedup
-	t.AddRow("batched/per-key", fmt.Sprintf("%.2fx", speedup), "-", "-", "-")
+	kps := float64(nBatches*batchSize) / elapsed.Seconds()
+	p50, p95, p99 := pctl(lat, 0.50), pctl(lat, 0.95), pctl(lat, 0.99)
+	t.AddRow("batched", fmt.Sprintf("%.0f", kps), us(p50), us(p95), us(p99))
+	t.Metrics["multiget_batched_keys_per_sec"] = kps
+	t.Metrics["multiget_batched_batch_p50_us"] = usF(p50)
+	t.Metrics["multiget_batched_batch_p95_us"] = usF(p95)
+	t.Metrics["multiget_batched_batch_p99_us"] = usF(p99)
 	return t, nil
 }
 
-// rhResult is one engine's run of the readheavy workload.
+// rhResult is the engine's run of the readheavy workload.
 type rhResult struct {
 	load time.Duration
 	read time.Duration
@@ -254,7 +197,7 @@ type rhResult struct {
 }
 
 // runReadHeavyOn drives the workload against one backend. The RNG is
-// reseeded per backend so both engines see byte-identical key and access
+// seeded from seed, so every run sees byte-identical key and access
 // sequences.
 func runReadHeavyOn(ctx context.Context, be engine.Backend, nKeys, valSize, reads int, seed int64) (rhResult, error) {
 	var res rhResult
@@ -306,9 +249,9 @@ func runReadHeavyOn(ctx context.Context, be engine.Backend, nKeys, valSize, read
 	}
 	res.load = time.Since(start)
 
-	// Compact to steady state: both engines reclaim their dead versions
-	// before the timed read phase, so the comparison is read path against
-	// read path, not compaction debt.
+	// Compact to steady state: the engine reclaims its dead versions
+	// before the timed read phase, so the measurement is the read path,
+	// not compaction debt.
 	if c, ok := be.(engine.Compactor); ok {
 		if _, err := c.Compact(ctx); err != nil {
 			return res, err
@@ -328,8 +271,8 @@ func runReadHeavyOn(ctx context.Context, be engine.Backend, nKeys, valSize, read
 		access[q] = int32(zipf.Uint64())
 	}
 	// Warm-up: touch every key once, untimed, so the timed phase measures
-	// steady-state serving (populated row/block/page caches) for both
-	// engines rather than first-touch fill costs.
+	// steady-state serving (populated row/block/page caches) rather than
+	// first-touch fill costs.
 	for _, k := range keys {
 		if _, ok, err := be.Get(ctx, "t", k); err != nil || !ok {
 			return res, fmt.Errorf("warmup %s: ok=%v err=%w", k, ok, err)

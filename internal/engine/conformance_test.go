@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
@@ -26,23 +25,6 @@ func backends(t *testing.T) map[string]func(t *testing.T) engine.Backend {
 	t.Helper()
 	return map[string]func(t *testing.T) engine.Backend{
 		"memory": func(t *testing.T) engine.Backend { return memory.New() },
-		"disklog": func(t *testing.T) engine.Backend {
-			b, err := disklog.Open(t.TempDir(), disklog.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		},
-		// Disklog with a compaction forced after every mutation: segment
-		// rewrites, index swaps, and victim unlinks race the whole suite,
-		// and none of it may be observable through the Backend contract.
-		"disklog-compacting": func(t *testing.T) engine.Backend {
-			b, err := disklog.Open(t.TempDir(), disklog.Options{SegmentBytes: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return compactingBackend{b}
-		},
 		// LSM with a memtable small enough that the suite constantly
 		// flushes, so reads cross the memtable/SSTable boundary and the
 		// size-tiered compactor fires mid-test.
@@ -54,7 +36,8 @@ func backends(t *testing.T) map[string]func(t *testing.T) engine.Backend {
 			return b
 		},
 		// LSM with a full merge forced after every mutation: flush, merge,
-		// MANIFEST commits, and victim unlinks race the whole suite.
+		// MANIFEST commits, and victim unlinks race the whole suite, and
+		// none of it may be observable through the Backend contract.
 		"lsm-compacting": func(t *testing.T) engine.Backend {
 			b, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 512})
 			if err != nil {

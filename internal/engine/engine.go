@@ -27,7 +27,7 @@
 // sequences issued by DIFFERENT cluster clients against the same backend
 // can interleave. The layers above (kvstore's replication repair, core's
 // flush path) therefore assume each backend is driven by one logical
-// writer at a time — one cluster client per data directory (disklog
+// writer at a time — one cluster client per data directory (lsm
 // enforces this with an exclusive flock) or per remote daemon. Multiple
 // concurrent *reading* clients are fine; concurrent writing clients are
 // outside the contract (see the tombstone-GC follow-up in ROADMAP.md).
@@ -151,17 +151,19 @@ var ErrNoCompaction = errors.New("engine: backend does not support compaction")
 // byte counts include record framing, so DiskBytes-LiveBytes is exactly the
 // volume a full compaction could reclaim from sealed storage.
 type CompactionStats struct {
-	// DiskBytes is the total size of the backend's log/segment files.
+	// DiskBytes is the total size of the backend's data files (for lsm:
+	// the WAL plus every SSTable).
 	DiskBytes int64
 	// LiveBytes is the portion of DiskBytes that compaction cannot reclaim:
-	// records the key index still references, plus fixed structural
-	// overhead (e.g. disklog's compacted-segment markers). The rest is
-	// dead — overwritten values, tombstones, superseded records.
+	// records that are still the newest version of their key, plus the
+	// whole WAL (replayed, never merged). The rest is dead — overwritten
+	// values, tombstones, superseded records.
 	LiveBytes int64
 	// CompactedBytes is the cumulative volume reclaimed by compaction over
 	// the lifetime of this backend instance.
 	CompactedBytes int64
-	// Segments is the number of log files backing the store.
+	// Segments is the number of data files backing the store (for lsm:
+	// SSTables plus the WAL).
 	Segments int
 }
 

@@ -1,11 +1,11 @@
-// Package enginetest is the shared crash-injection harness for the durable
-// engine.Backend implementations (disklog, lsm). Each engine arms named
-// crash points inside its compaction machinery (SetCrashPoint), simulates
+// Package enginetest is the crash-injection harness for durable
+// engine.Backend implementations (today: lsm). An engine arms named crash
+// points inside its compaction machinery (SetCrashPoint), simulates
 // process death by dropping every descriptor unsynced (Kill), and must then
 // recover from the directory with zero loss of acknowledged writes. The
 // harness owns the workload, the per-point crash/reopen/verify cycle, and
-// the debris sweep, so both engines prove the identical contract and a new
-// durable engine gets the whole suite by implementing Crasher.
+// the debris sweep, so a new durable engine gets the whole suite by
+// implementing Crasher.
 package enginetest
 
 import (
@@ -36,7 +36,7 @@ type Crasher interface {
 // Harness describes one durable engine to CompactCrashRecovery.
 type Harness struct {
 	// Open opens (or reopens, after a crash) the engine rooted at dir,
-	// configured so the workload spans several on-disk units (segments /
+	// configured so the workload spans several on-disk units (e.g.
 	// SSTables).
 	Open func(t *testing.T, dir string) Crasher
 	// Points lists every compaction crash-injection point the engine

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 )
@@ -230,9 +229,6 @@ func TestHashTreeReopenStability(t *testing.T) {
 	const fanout = 32
 	ctx := context.Background()
 	engines := map[string]func(dir string) (engine.Backend, error){
-		"disklog": func(dir string) (engine.Backend, error) {
-			return disklog.Open(dir, disklog.Options{})
-		},
 		// Tiny memtable so the content spans WAL, flushed SSTables, and
 		// merged SSTables when it comes back.
 		"lsm": func(dir string) (engine.Backend, error) {

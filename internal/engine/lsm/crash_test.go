@@ -88,9 +88,8 @@ func TestCompactCrashRecovery(t *testing.T) {
 	})
 }
 
-// TestWALTornTailRecovery is lsm's half of the torn-tail contract disklog
-// proves for its segments: a crash mid-append leaves garbage after the last
-// acknowledged record; replay must truncate it, serve every acknowledged
+// TestWALTornTailRecovery is the torn-tail contract: a crash mid-append
+// leaves garbage after the last acknowledged record; replay must truncate it, serve every acknowledged
 // write, and leave the log appendable.
 func TestWALTornTailRecovery(t *testing.T) {
 	ctx := context.Background()

@@ -1,6 +1,7 @@
-// Package lsm is the log-structured merge-tree storage engine: the scaling
-// tier above disklog for read-heavy, version-dense workloads (the RStore
-// premise — many overlapping versions under heavy read traffic).
+// Package lsm is the log-structured merge-tree storage engine, the one
+// durable engine.Backend: built for read-heavy, version-dense workloads
+// (the RStore premise — many overlapping versions under heavy read
+// traffic).
 //
 // Writes land in a sorted in-memory memtable (a skiplist) after being made
 // durable in a checksummed write-ahead log; a full memtable is flushed into
@@ -17,8 +18,8 @@
 //
 // Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (exactly one
 // live), sst-<seq>.sst (oldest first per the MANIFEST). The directory is
-// flock-ed for the lifetime of the backend, mirroring disklog: one logical
-// writer per data directory. See docs/FORMATS.md for the normative byte
+// flock-ed for the lifetime of the backend: one logical writer per data
+// directory. See docs/FORMATS.md for the normative byte
 // formats.
 package lsm
 
@@ -169,6 +170,9 @@ func Open(dir string, opts Options) (*Backend, error) {
 func (b *Backend) recover() error {
 	nextSeq, walSeq, sstSeqs, exists, err := readManifest(b.dir)
 	if !exists && err == nil {
+		if err := refuseDisklogDir(b.dir); err != nil {
+			return err
+		}
 		// Never initialized (or crashed before the first commit): any lsm
 		// files present are uncommitted debris from that first attempt.
 		if err := b.removeDebris(map[string]bool{}); err != nil {
@@ -225,6 +229,25 @@ func (b *Backend) recover() error {
 		return err
 	}
 	b.wal = w
+	return nil
+}
+
+// refuseDisklogDir fails when dir holds the segment files (seg-*.log,
+// seg-*.log.cmp) of the removed disklog engine. Without a MANIFEST such a
+// directory would otherwise open as a fresh empty store and serve an
+// empty node over data this engine cannot read.
+func refuseDisklogDir(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("lsm: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasPrefix(name, "seg-") && (strings.HasSuffix(name, ".log") || strings.HasSuffix(name, ".log.cmp")) {
+			return fmt.Errorf("lsm: %s was written by the removed disklog engine (found %s and no MANIFEST): "+
+				"export it with the previous release (kvstore.Store.Dump on a disklog cluster) and Restore the snapshot into an lsm cluster", dir, name)
+		}
+	}
 	return nil
 }
 

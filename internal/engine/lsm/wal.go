@@ -12,8 +12,8 @@ import (
 
 // The write-ahead log makes the memtable durable: every mutation is framed,
 // checksummed, and appended to wal-<seq>.log before it touches the skiplist.
-// The framing is the same as disklog's record format — length(u32 LE),
-// crc32(u32 LE), body — so a torn write from a crash can only affect the
+// Each record is framed as length(u32 LE), crc32(u32 LE), body — the same
+// checksummed framing the wire protocol uses — so a torn write from a crash can only affect the
 // un-acknowledged tail, which replay detects by checksum and truncates.
 // A flush retires the whole log at once: once the memtable's contents are
 // committed to an SSTable via the MANIFEST, the old log is deleted and a

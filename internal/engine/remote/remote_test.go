@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
+	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
 	"rstore/internal/engine/remote/engined"
@@ -309,13 +309,14 @@ func TestBigValuesCrossTheWire(t *testing.T) {
 	}
 }
 
-// TestCompactOverTheWire: a disklog-backed daemon compacts on client demand,
+// TestCompactOverTheWire: an lsm-backed daemon compacts on client demand,
 // the stats round-trip, and every value survives the rewrite.
 func TestCompactOverTheWire(t *testing.T) {
-	be, err := disklog.Open(t.TempDir(), disklog.Options{SegmentBytes: 4 << 10})
+	be, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer be.Close()
 	srv, err := engined.Start("127.0.0.1:0", be)
 	if err != nil {
 		t.Fatal(err)
@@ -357,8 +358,15 @@ func TestCompactOverTheWire(t *testing.T) {
 	if after.DiskBytes > before.DiskBytes/2 {
 		t.Fatalf("remote compact reclaimed too little: %d -> %d", before.DiskBytes, after.DiskBytes)
 	}
-	if after.CompactedBytes != before.DiskBytes-after.DiskBytes {
-		t.Fatalf("CompactedBytes = %d, want %d", after.CompactedBytes, before.DiskBytes-after.DiskBytes)
+	if after.CompactedBytes <= before.CompactedBytes {
+		t.Fatalf("CompactedBytes did not grow: %d -> %d", before.CompactedBytes, after.CompactedBytes)
+	}
+	local, err := be.CompactionStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != local {
+		t.Fatalf("stats over the wire %+v, daemon's backend reports %+v", after, local)
 	}
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%03d", i)

@@ -8,7 +8,7 @@
 //
 // The checksum makes a half-written or bit-flipped frame detectable at the
 // receiver instead of being decoded into garbage operations, mirroring the
-// per-record checksums of the disklog segment format.
+// per-record checksums of the lsm write-ahead log.
 //
 // Request payloads start with an op byte; response payloads start with a
 // status byte. Strings and byte strings are uvarint-length-prefixed
@@ -350,7 +350,8 @@ func HashRange(body []byte) ([]engine.KeyHash, error) {
 // frameHeader is the fixed prefix of every frame: payload length + checksum.
 const frameHeader = 8
 
-// MaxFrame bounds a single payload (1 GiB, matching disklog's maxBody):
+// MaxFrame bounds a single payload (1 GiB, matching the lsm WAL's
+// walMaxBody):
 // larger announced lengths are treated as stream corruption rather than
 // allocated.
 const MaxFrame = 1 << 30

@@ -194,32 +194,25 @@ func TestRemoteClusterRoutesAroundDeadNode(t *testing.T) {
 }
 
 // TestMultiGetBatchedMatchesPerKey: the batched read path (one OpMultiGet
-// per node) and the per-key path (Config.DisableReadBatching) must be
-// observationally identical — same values, same missing set — including
-// across tombstones and a dead node.
+// per node) must be observationally identical to Store.Get called once per
+// key — the replicated point read (lwwGet) — with the same values and the
+// same missing set, including across tombstones, never-written keys and a
+// dead node.
 func TestMultiGetBatchedMatchesPerKey(t *testing.T) {
 	addrs, nodes := startNodes(t, 3)
-	batched := openRemote(t, addrs, 2)
-	perKey, err := Open(context.Background(), Config{
-		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2,
-		Remote: remoteOpts(), DisableReadBatching: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { perKey.Close() })
+	s := openRemote(t, addrs, 2)
 
 	var keys []string
 	for i := 0; i < 80; i++ {
 		k := fmt.Sprintf("k%03d", i)
 		keys = append(keys, k)
-		if err := batched.Put(context.Background(), "t", k, []byte("v-"+k)); err != nil {
+		if err := s.Put(context.Background(), "t", k, []byte("v-"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Tombstones and never-written keys must land in Missing on both paths.
 	for i := 0; i < 10; i++ {
-		if err := batched.Delete(context.Background(), "t", keys[i*7]); err != nil {
+		if err := s.Delete(context.Background(), "t", keys[i*7]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,25 +220,31 @@ func TestMultiGetBatchedMatchesPerKey(t *testing.T) {
 
 	check := func(when string) {
 		t.Helper()
-		rb, err := batched.MultiGet(context.Background(), "t", keys)
+		rb, err := s.MultiGet(context.Background(), "t", keys)
 		if err != nil {
 			t.Fatalf("%s: batched multiget: %v", when, err)
 		}
-		rp, err := perKey.MultiGet(context.Background(), "t", keys)
-		if err != nil {
-			t.Fatalf("%s: per-key multiget: %v", when, err)
-		}
-		if len(rb.Values) != len(rp.Values) || fmt.Sprint(rb.Missing) != fmt.Sprint(rp.Missing) {
-			t.Fatalf("%s: missing sets differ: batched %v, per-key %v", when, rb.Missing, rp.Missing)
-		}
-		for i := range keys {
-			if string(rb.Values[i]) != string(rp.Values[i]) {
-				t.Fatalf("%s: %s = %q batched, %q per-key", when, keys[i], rb.Values[i], rp.Values[i])
+		var missing []int
+		for i, k := range keys {
+			v, err := s.Get(context.Background(), "t", k)
+			switch {
+			case errors.Is(err, types.ErrNotFound):
+				missing = append(missing, i)
+			case err != nil:
+				t.Fatalf("%s: get %s: %v", when, k, err)
+			}
+			if string(rb.Values[i]) != string(v) {
+				t.Fatalf("%s: %s = %q batched, %q per-key", when, k, rb.Values[i], v)
 			}
 		}
-		if rb.Requests != len(keys) || rp.Requests != len(keys) {
-			t.Fatalf("%s: accounting differs: %d vs %d requests, want %d both",
-				when, rb.Requests, rp.Requests, len(keys))
+		if len(rb.Values) != len(keys) || fmt.Sprint(rb.Missing) != fmt.Sprint(missing) {
+			t.Fatalf("%s: missing sets differ: batched %v, per-key %v", when, rb.Missing, missing)
+		}
+		if len(missing) != 12 {
+			t.Fatalf("%s: %d keys missing, want the 10 deleted and 2 never written", when, len(missing))
+		}
+		if rb.Requests != len(keys) {
+			t.Fatalf("%s: batched multiget charged %d requests, want %d", when, rb.Requests, len(keys))
 		}
 	}
 	check("all nodes up")
@@ -466,12 +465,12 @@ func (w *dumpWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
 
 // A data directory from before the LWW value format must be refused with
 // a clear message, not misparsed.
-func TestDisklogRefusesPreLWWDirectory(t *testing.T) {
+func TestLSMRefusesPreLWWDirectory(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "GEOMETRY"), []byte("nodes=1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(context.Background(), Config{Engine: EngineDisklog, Dir: dir})
+	_, err := Open(context.Background(), Config{Engine: EngineLSM, Dir: dir})
 	if err == nil || !strings.Contains(err.Error(), "pre-lww1 value format") {
 		t.Fatalf("pre-LWW directory: %v", err)
 	}

@@ -33,7 +33,7 @@ import (
 //   - Hinted handoff: a write that had to skip a down replica parks a hint
 //     (target node, table, key, winning envelope) durably in the !hints
 //     table of a replica that did take the write — through the engine seam,
-//     so disklog/remote deployments keep hints across client restarts — and
+//     so lsm/remote deployments keep hints across client restarts — and
 //     a drain loop replays the hints (with per-target exponential backoff)
 //     once the target is observed up again. A restarted node therefore
 //     converges without waiting to be read.

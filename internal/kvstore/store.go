@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
@@ -23,9 +22,6 @@ import (
 const (
 	// EngineMemory is the default in-process map backend; nothing persists.
 	EngineMemory = "memory"
-	// EngineDisklog is the log-structured disk backend; each node's
-	// segments live under Config.Dir/node-N and survive restarts.
-	EngineDisklog = "disklog"
 	// EngineLSM is the log-structured merge-tree disk backend (WAL +
 	// memtable + bloom-filtered SSTables); each node's tree lives under
 	// Config.Dir/node-N and survives restarts. All nodes of one cluster
@@ -51,20 +47,13 @@ type Config struct {
 	// queue that bounds batch retrieval — the replication effect the
 	// paper's conclusion flags for future study.
 	ReadBalance bool
-	// DisableReadBatching forces MultiGet through the per-key read path
-	// (one point get per key per replica) instead of one batched request
-	// per node. The batched path is strictly better on a wire transport;
-	// the knob exists so benchmarks can measure the difference against the
-	// same cluster.
-	DisableReadBatching bool
 	// Cost is the latency model; zero value disables simulated timing.
 	Cost CostModel
 	// Engine selects the per-node storage backend: EngineMemory (the
-	// default), EngineDisklog, EngineLSM, or EngineRemote.
+	// default), EngineLSM, or EngineRemote.
 	Engine string
 	// Dir is the data directory for disk-backed engines; node i stores its
-	// data under Dir/node-i. Required when Engine is EngineDisklog or
-	// EngineLSM.
+	// data under Dir/node-i. Required when Engine is EngineLSM.
 	Dir string
 	// NodeAddrs lists one daemon address (host:port) per node for
 	// EngineRemote, in node-id order. The address list is the cluster
@@ -100,13 +89,6 @@ func (cfg Config) transportFactory() (func(int) (transport, error), error) {
 	switch cfg.Engine {
 	case "", EngineMemory:
 		return local(func(int) (engine.Backend, error) { return memory.New(), nil }), nil
-	case EngineDisklog:
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("kvstore: engine %q needs Config.Dir", cfg.Engine)
-		}
-		return local(func(id int) (engine.Backend, error) {
-			return disklog.Open(filepath.Join(cfg.Dir, fmt.Sprintf("node-%d", id)), disklog.Options{})
-		}), nil
 	case EngineLSM:
 		if cfg.Dir == "" {
 			return nil, fmt.Errorf("kvstore: engine %q needs Config.Dir", cfg.Engine)
@@ -129,8 +111,8 @@ func (cfg Config) transportFactory() (func(int) (transport, error), error) {
 			return &remoteTransport{c: c}, nil
 		}, nil
 	default:
-		return nil, fmt.Errorf("kvstore: unknown engine %q (want %q, %q, %q, or %q)",
-			cfg.Engine, EngineMemory, EngineDisklog, EngineLSM, EngineRemote)
+		return nil, fmt.Errorf("kvstore: unknown engine %q (want %q, %q, or %q)",
+			cfg.Engine, EngineMemory, EngineLSM, EngineRemote)
 	}
 }
 
@@ -272,7 +254,7 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NewBackend == nil && (cfg.Engine == EngineDisklog || cfg.Engine == EngineLSM) {
+	if cfg.NewBackend == nil && cfg.Engine == EngineLSM {
 		if err := checkGeometry(cfg.Dir, cfg.Nodes); err != nil {
 			return nil, err
 		}
@@ -329,7 +311,7 @@ const (
 	nodeIDKey    = "node-id"
 )
 
-// pinRemoteGeometry is the remote counterpart of the disklog GEOMETRY
+// pinRemoteGeometry is the remote counterpart of the local GEOMETRY
 // file: each daemon records which ring position (and cluster size) it
 // serves plus the cluster's replication factor, so reopening the same
 // daemons with the address list reordered or resized — or with a different
@@ -888,13 +870,7 @@ func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*Mul
 		byNode[n] = append(byNode[n], i)
 	}
 
-	var missing []int
-	var err error
-	if s.cfg.DisableReadBatching {
-		missing, err = s.multiGetPerKey(ctx, table, keys, byNode, res)
-	} else {
-		missing, err = s.multiGetBatched(ctx, table, keys, replicasOf, serving, res)
-	}
+	missing, err := s.multiGetBatched(ctx, table, keys, replicasOf, serving, res)
 	if err != nil {
 		return nil, err
 	}
@@ -1027,57 +1003,6 @@ func (s *Store) multiGetBatched(ctx context.Context, table string, keys []string
 		default:
 			missing = append(missing, i)
 		}
-	}
-	return missing, nil
-}
-
-// multiGetPerKey is the pre-batching read path: per-node lanes issuing
-// one replicated point read per key. Kept behind Config.DisableReadBatching
-// so benchmarks can measure the batching win against the same cluster.
-func (s *Store) multiGetPerKey(ctx context.Context, table string, keys []string, byNode map[int][]int, res *MultiGetResult) ([]int, error) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards missing and firstErr
-	var missing []int
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// One lane per serving node; the reads inside consult all replicas.
-	for _, idxs := range byNode {
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				// A dead context stops the lane before the next point read.
-				if err := ctx.Err(); err != nil {
-					fail(fmt.Errorf("kvstore: multiget %s: %w", table, err))
-					return
-				}
-				v, ok, anyUp, err := s.lwwGet(ctx, table, keys[i])
-				switch {
-				case err != nil:
-					fail(fmt.Errorf("kvstore: multiget %s/%s: %w", table, keys[i], err))
-					return
-				case !anyUp:
-					fail(allDownErr(ctx, "kvstore: multiget %s/%s: all replicas down", table, keys[i]))
-					return
-				case ok:
-					res.Values[i] = v
-				default:
-					mu.Lock()
-					missing = append(missing, i)
-					mu.Unlock()
-				}
-			}
-		}(idxs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return missing, nil
 }
@@ -1340,10 +1265,10 @@ type Stats struct {
 	AEBytesHashed  int64 // key+value bytes digested by tree sweeps
 
 	// Storage reclaim, summed over reachable nodes whose backend supports
-	// compaction (the disklog engine, local or behind a daemon); all zero
+	// compaction (the lsm engine, local or behind a daemon); all zero
 	// on a pure memory cluster. Byte counts include record framing, so
 	// DiskBytes-LiveBytes is exactly what a full compaction would reclaim.
-	DiskBytes      int64   // total segment-file bytes on disk
+	DiskBytes      int64   // total data-file bytes on disk
 	LiveBytes      int64   // portion of DiskBytes still referenced by live keys
 	CompactedBytes int64   // cumulative bytes reclaimed by compaction
 	LiveRatio      float64 // LiveBytes/DiskBytes; 1 when nothing is on disk
