@@ -147,20 +147,23 @@ func GetPrefix(ctx context.Context, be Backend, table, key string, n int) ([]byt
 // opportunistically match it with errors.Is and move on.
 var ErrNoCompaction = errors.New("engine: backend does not support compaction")
 
-// CompactionStats is a snapshot of a backend's storage-reclaim state. All
-// byte counts include record framing, so DiskBytes-LiveBytes is exactly the
-// volume a full compaction could reclaim from sealed storage.
+// CompactionStats is a snapshot of a backend's storage-reclaim state.
+// DiskBytes-LiveBytes estimates the volume a full compaction could reclaim:
+// dead records are weighed by key and value length plus a fixed per-record
+// charge, not by their on-disk encoding (lsm prefix-compresses keys and
+// writes index and filter blocks), so the estimate is close but not exact.
 type CompactionStats struct {
 	// DiskBytes is the total size of the backend's data files (for lsm:
 	// the WAL plus every SSTable).
 	DiskBytes int64
-	// LiveBytes is the portion of DiskBytes that compaction cannot reclaim:
-	// records that are still the newest version of their key, plus the
-	// whole WAL (replayed, never merged). The rest is dead — overwritten
-	// values, tombstones, superseded records.
+	// LiveBytes is DiskBytes minus the dead weight: overwritten values,
+	// tombstones and superseded records, in the WAL as in sealed files.
+	// Right after a full compaction nothing is dead and LiveBytes equals
+	// DiskBytes.
 	LiveBytes int64
 	// CompactedBytes is the cumulative volume reclaimed by compaction over
-	// the lifetime of this backend instance.
+	// the lifetime of this backend instance. A full compaction with no
+	// concurrent writes grows it by exactly the drop in DiskBytes.
 	CompactedBytes int64
 	// Segments is the number of data files backing the store (for lsm:
 	// SSTables plus the WAL).

@@ -78,7 +78,7 @@ func (b *Backend) maybeFlushLocked(ctx context.Context) error {
 	if b.mem.bytes < b.opts.MemtableBytes {
 		return nil
 	}
-	if err := b.flushLocked(ctx); err != nil {
+	if _, err := b.flushLocked(ctx); err != nil {
 		return err
 	}
 	return b.maybeTierCompactLocked(ctx)
@@ -88,62 +88,64 @@ func (b *Backend) maybeFlushLocked(ctx context.Context) error {
 // Commit order: sst renamed into place → fresh WAL created → MANIFEST
 // rename (the commit point) → in-memory swap and old-WAL delete. A crash
 // before the MANIFEST leaves the old WAL authoritative and the new files
-// as debris. Callers hold b.mu exclusively.
-func (b *Backend) flushLocked(ctx context.Context) error {
+// as debris. It returns the disk bytes the flush freed: the retired WAL's
+// size minus the new table's (negative when the table is the larger).
+// Callers hold b.mu exclusively.
+func (b *Backend) flushLocked(ctx context.Context) (int64, error) {
 	if b.mem.count == 0 {
-		return nil
+		return 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, err
 	}
 	seq := b.nextSeq
 	b.nextSeq++
 	tmp := b.sstPath(seq) + ".tmp"
 	sw, err := newSSTWriter(tmp)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	sw.failBeforeFooter = b.crash == "mid-flush"
 	for it := b.mem.iter(nil); it.valid(); it.next() {
 		if err := sw.add(it.key(), it.value(), it.tomb()); err != nil {
 			sw.abort(tmp, err)
-			return err
+			return 0, err
 		}
 	}
 	if err := sw.finish(); err != nil {
 		sw.abort(tmp, err)
-		return err
+		return 0, err
 	}
 	if err := os.Rename(tmp, b.sstPath(seq)); err != nil {
 		os.Remove(tmp)
-		return err
+		return 0, err
 	}
 	if err := syncDir(b.dir); err != nil {
-		return err
+		return 0, err
 	}
 	if b.crash == "flush-renamed" {
-		return ErrCrashed
+		return 0, ErrCrashed
 	}
 	walSeq := b.nextSeq
 	b.nextSeq++
 	nw, err := createWAL(b.walPath(walSeq), walSeq)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := syncDir(b.dir); err != nil {
 		nw.close()
-		return err
+		return 0, err
 	}
 	nt, err := openSSTable(b.sstPath(seq), seq)
 	if err != nil {
 		nw.close()
-		return err
+		return 0, err
 	}
 	newTables := append(append([]*sstable(nil), b.tables...), nt)
 	if err := writeManifest(b.dir, b.nextSeq, walSeq, newTables); err != nil {
 		nw.close()
 		nt.close()
-		return err
+		return 0, err
 	}
 	// Committed. Every memtable value entry is globally newest, so the new
 	// table's dead weight is exactly its tombstones.
@@ -154,7 +156,7 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 	b.mem = newMemtable()
 	oldWAL.close()
 	os.Remove(b.walPath(oldWAL.seq))
-	return syncDir(b.dir)
+	return oldWAL.size - nt.size, syncDir(b.dir)
 }
 
 // sizeClass buckets a table size for tiering: tables within the same
@@ -224,7 +226,9 @@ func (b *Backend) mergeRunLocked(ctx context.Context, lo, hi int) error {
 	if err != nil {
 		return err
 	}
-	return b.commitMergedLocked(out, lo, hi)
+	reclaimed, err := b.commitMergedLocked(out, lo, hi)
+	b.compacted += max(reclaimed, 0)
+	return err
 }
 
 // writeMerged k-way-merges victims (age order) into a new SSTable left at
@@ -232,9 +236,11 @@ func (b *Backend) mergeRunLocked(ctx context.Context, lo, hi int) error {
 // SSTables are immutable. dropTombs must only be true when victims include
 // the oldest table.
 type mergedOut struct {
-	seq  int64
-	tmp  string
-	tomb int64 // logical tombstone weight kept in the output
+	seq int64
+	tmp string
+	// dropped is the logical weight of the victim entries left out of the
+	// output: superseded versions and, when tombstones are dropped, those.
+	dropped int64
 }
 
 // crash is the caller's snapshot of b.crash, taken under b.mu (this
@@ -255,15 +261,20 @@ func (b *Backend) writeMerged(ctx context.Context, victims []*sstable, dropTombs
 		}
 		sources[i] = it
 	}
+	var dropped int64
 	err = mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if tomb && dropTombs {
+			dropped += logicalSize(len(key), len(value))
 			return nil
 		}
 		return sw.add(key, value, tomb)
-	}, nil)
+	}, func(_ int, keyLen, valLen int) error {
+		dropped += logicalSize(keyLen, valLen)
+		return nil
+	})
 	if err == nil {
 		err = sw.finish()
 	}
@@ -271,27 +282,29 @@ func (b *Backend) writeMerged(ctx context.Context, victims []*sstable, dropTombs
 		sw.abort(tmp, err)
 		return mergedOut{}, err
 	}
-	return mergedOut{seq: seq, tmp: tmp, tomb: sw.logicalTomb}, nil
+	return mergedOut{seq: seq, tmp: tmp, dropped: dropped}, nil
 }
 
 // commitMergedLocked renames the merged table into place, commits the
 // MANIFEST with it replacing tables[lo..hi], splices the in-memory state,
-// and deletes the victims. Callers hold b.mu exclusively.
-func (b *Backend) commitMergedLocked(out mergedOut, lo, hi int) error {
+// and deletes the victims. It returns the disk bytes the merge freed (the
+// victims' size minus the output's) once the MANIFEST committed. Callers
+// hold b.mu exclusively.
+func (b *Backend) commitMergedLocked(out mergedOut, lo, hi int) (int64, error) {
 	//lint:rstore-vet fsyncrename: out.tmp was sealed by writeMerged (sw.finish syncs) before the handoff to this commit phase
 	if err := os.Rename(out.tmp, b.sstPath(out.seq)); err != nil {
 		os.Remove(out.tmp)
-		return err
+		return 0, err
 	}
 	if err := syncDir(b.dir); err != nil {
-		return err
+		return 0, err
 	}
 	if b.crash == "merge-renamed" {
-		return ErrCrashed
+		return 0, ErrCrashed
 	}
 	nt, err := openSSTable(b.sstPath(out.seq), out.seq)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	victims := b.tables[lo : hi+1]
 	newTables := make([]*sstable, 0, len(b.tables)-len(victims)+1)
@@ -300,37 +313,40 @@ func (b *Backend) commitMergedLocked(out mergedOut, lo, hi int) error {
 	newTables = append(newTables, b.tables[hi+1:]...)
 	if err := writeManifest(b.dir, b.nextSeq, b.wal.seq, newTables); err != nil {
 		nt.close()
-		return err
+		return 0, err
 	}
-	// Committed: the output inherits the victims' live weight (concurrent
-	// overwrites during the merge already decremented it there).
-	var victimLive, victimSize int64
+	// Committed. Every superseded version and every tombstone in the
+	// victims is counted dead exactly once (by the write that superseded
+	// it, or by the flush or merge that wrote the tombstone), so the
+	// output's dead weight is the victims' — including overwrites that
+	// landed while the merge ran — minus the entries the merge left out.
+	var victimDead, victimSize int64
 	for _, t := range victims {
-		victimLive += t.live
+		victimDead += t.size - t.live
 		victimSize += t.size
 	}
-	nt.live = victimLive
+	nt.live = nt.size - (victimDead - out.dropped)
 	b.tables = newTables
-	if reclaimed := victimSize - nt.size; reclaimed > 0 {
-		b.compacted += reclaimed
-	}
+	reclaimed := victimSize - nt.size
 	if b.crash == "merge-manifested" {
 		// The commit happened but the victims were not yet deleted; they
 		// are debris the next Open removes.
-		return ErrCrashed
+		return reclaimed, ErrCrashed
 	}
 	for _, t := range victims {
 		t.close()
 		os.Remove(t.path)
 	}
-	return syncDir(b.dir)
+	return reclaimed, syncDir(b.dir)
 }
 
 // Compact flushes the memtable and, when anything is reclaimable, merges
 // every SSTable into one, dropping shadowed versions and all tombstones.
 // The merge itself runs without b.mu — reads and writes proceed — and
 // commits only if the table set it captured is still intact (same epoch,
-// no competing merge).
+// no competing merge). CompactedBytes grows by what the flush and the
+// merge freed together, so without concurrent writes it grows by exactly
+// the drop in DiskBytes.
 func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.CompactionStats{}, err
@@ -343,7 +359,8 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 		b.mu.Unlock()
 		return engine.CompactionStats{}, types.ErrClosed
 	}
-	if err := b.flushLocked(ctx); err != nil {
+	reclaimed, err := b.flushLocked(ctx)
+	if err != nil {
 		b.mu.Unlock()
 		return engine.CompactionStats{}, err
 	}
@@ -355,7 +372,9 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	victims := append([]*sstable(nil), b.tables...)
 	epoch, crash := b.epoch, b.crash
 	var seq int64
-	if !nothingToDo {
+	if nothingToDo {
+		b.compacted += max(reclaimed, 0)
+	} else {
 		seq = b.nextSeq
 		b.nextSeq++
 	}
@@ -380,6 +399,7 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	}
 	if !stillThere {
 		// Reset (or close) intervened; the output must not resurrect data.
+		b.compacted += max(reclaimed, 0)
 		b.mu.Unlock()
 		os.Remove(out.tmp)
 		if b.closed {
@@ -387,7 +407,8 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 		}
 		return b.CompactionStats(ctx)
 	}
-	err = b.commitMergedLocked(out, 0, len(victims)-1)
+	merged, err := b.commitMergedLocked(out, 0, len(victims)-1)
+	b.compacted += max(reclaimed+merged, 0)
 	b.mu.Unlock()
 	if err != nil {
 		return engine.CompactionStats{}, err
@@ -397,8 +418,9 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 
 // CompactionStats reports the reclaim state: total file bytes, the portion
 // a full merge must keep, cumulative reclaimed volume, and the file count.
-// The WAL counts as fully live (its dead records die at the next flush,
-// not by compaction).
+// Each file's live bytes are its size minus the logical weight of its
+// records a full merge drops (superseded versions and tombstones; for the
+// WAL, the memtable's dead count), clamped at zero.
 func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.CompactionStats{}, err
@@ -410,7 +432,7 @@ func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, 
 	}
 	st := engine.CompactionStats{
 		DiskBytes:      b.wal.size,
-		LiveBytes:      b.wal.size,
+		LiveBytes:      max(b.wal.size-b.mem.dead, 0),
 		CompactedBytes: b.compacted,
 		Segments:       len(b.tables) + 1, // + the WAL
 	}

@@ -116,7 +116,8 @@ type Backend struct {
 	bytes int64
 	// keys counts live keys per user table, backing Tables().
 	keys map[string]int
-	// compacted accumulates bytes reclaimed by merges (CompactionStats).
+	// compacted accumulates disk bytes freed by Compact (its flush and
+	// merge together) and by size-tiered merges (CompactionStats).
 	compacted int64
 	// gen counts logical-content changes (every applied put/delete/reset);
 	// flush and merge leave it alone because they do not change contents.

@@ -31,6 +31,10 @@ type memtable struct {
 	// bytes approximates resident size (keys + values + tower overhead) for
 	// the flush trigger; exact live-payload accounting lives on the Backend.
 	bytes int64
+	// dead is the logical weight (logicalSize) of the WAL records a full
+	// compaction would drop: every value set has replaced and every
+	// tombstone, counted once. The WAL's live bytes are its size minus dead.
+	dead int64
 }
 
 func newMemtable() *memtable {
@@ -88,8 +92,14 @@ func (m *memtable) get(key []byte) ([]byte, bool, bool) {
 func (m *memtable) set(key, value []byte, tomb bool) (prevLen int, prevTomb, existed bool) {
 	var prev [memMaxHeight]*memNode
 	n := m.findGE(key, &prev)
+	if tomb {
+		m.dead += logicalSize(len(key), len(value))
+	}
 	if n != nil && bytes.Equal(n.key, key) {
 		prevLen, prevTomb = len(n.value), n.tomb
+		if !prevTomb {
+			m.dead += logicalSize(len(key), prevLen)
+		}
 		m.bytes += int64(len(value) - len(n.value))
 		n.value, n.tomb = value, tomb
 		return prevLen, prevTomb, true

@@ -358,8 +358,11 @@ func TestCompactOverTheWire(t *testing.T) {
 	if after.DiskBytes > before.DiskBytes/2 {
 		t.Fatalf("remote compact reclaimed too little: %d -> %d", before.DiskBytes, after.DiskBytes)
 	}
-	if after.CompactedBytes <= before.CompactedBytes {
-		t.Fatalf("CompactedBytes did not grow: %d -> %d", before.CompactedBytes, after.CompactedBytes)
+	if got, want := after.CompactedBytes-before.CompactedBytes, before.DiskBytes-after.DiskBytes; got != want {
+		t.Fatalf("CompactedBytes grew by %d, want %d", got, want)
+	}
+	if after.LiveRatio() != 1 {
+		t.Fatalf("compacted store not all live: %+v", after)
 	}
 	local, err := be.CompactionStats(context.Background())
 	if err != nil {

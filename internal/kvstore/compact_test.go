@@ -4,25 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"rstore/internal/engine"
-	"rstore/internal/engine/lsm"
 )
 
 // TestClusterCompact: Store.Compact fans out to every lsm node, the Stats
 // reclaim fields account for it, and reads are unchanged.
 func TestClusterCompact(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	// Small memtables flush the overwrites into SSTables, where shadowed
-	// versions count as dead bytes (the live WAL always counts as live).
-	s, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2,
-		NewBackend: func(id int) (engine.Backend, error) {
-			return lsm.Open(filepath.Join(dir, fmt.Sprintf("node-%d", id)), lsm.Options{MemtableBytes: 4 << 10})
-		}})
+	s, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, Engine: EngineLSM, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1266,8 +1266,8 @@ type Stats struct {
 
 	// Storage reclaim, summed over reachable nodes whose backend supports
 	// compaction (the lsm engine, local or behind a daemon); all zero
-	// on a pure memory cluster. Byte counts include record framing, so
-	// DiskBytes-LiveBytes is exactly what a full compaction would reclaim.
+	// on a pure memory cluster. DiskBytes-LiveBytes estimates what a full
+	// compaction would reclaim (see engine.CompactionStats).
 	DiskBytes      int64   // total data-file bytes on disk
 	LiveBytes      int64   // portion of DiskBytes still referenced by live keys
 	CompactedBytes int64   // cumulative bytes reclaimed by compaction
